@@ -30,19 +30,17 @@ func randomFaultSchedule(rng *rand.Rand, victim string) netsim.FaultSchedule {
 	return netsim.FaultSchedule{Events: events}
 }
 
-// shardDigest replays a fetch trace under the given fault schedule with
-// the event loop split into the given shard count (0 = the sequential
-// engine) and renders everything observable — every sample's virtual
-// latency and outcome, the final clock reading, and the cluster's fault
-// counters — into one string for exact comparison.
-func shardDigest(t *testing.T, seed int64, shards, clients int, tr *trace.Trace, schedule func(victim string) netsim.FaultSchedule) string {
+// faultReplayDigest replays a fetch trace under the given fault schedule
+// and renders everything observable — every sample's virtual latency and
+// outcome, the final clock reading, and the cluster's fault counters —
+// into one string for exact comparison.
+func faultReplayDigest(t *testing.T, seed int64, clients int, tr *trace.Trace, schedule func(victim string) netsim.FaultSchedule) string {
 	t.Helper()
 	tb, err := cluster.New(cluster.Options{
 		Seed:      seed,
 		Netbooks:  2 + clients,
 		DataPlane: core.DataPlaneConfig{DataReplicas: 1},
 		Faults:    core.FaultConfig{Fallback: true, Repair: true},
-		Perf:      core.PerfConfig{SimShards: shards},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,17 +127,18 @@ func shardDigest(t *testing.T, seed int64, shards, clients int, tr *trace.Trace,
 		}
 	})
 	if runErr != nil {
-		t.Fatalf("shards=%d: %v", shards, runErr)
+		t.Fatal(runErr)
 	}
 	return sb.String()
 }
 
-// TestShardedExecutionMatchesSequential is the shard-merge property test:
-// for several randomly drawn fault schedules (crashes and rejoins of a
-// payload holder mid-replay), running the simulation with 1, 2, 4, or 8
-// event-loop shards must reproduce the sequential engine's output exactly
-// — every fetch latency, every failure, the final clock, and all fault
-// counters.
+// TestShardedExecutionMatchesSequential is the fault-replay property
+// test: for several randomly drawn fault schedules (crashes and rejoins
+// of a payload holder mid-replay), the simulation must reproduce the
+// digest recorded in testdata from the sequential heap engine — every
+// fetch latency, every failure, the final clock, and all fault counters.
+// The sharded and calendar engines were once held to the same digest;
+// the single engine that replaced them is held to it now.
 func TestShardedExecutionMatchesSequential(t *testing.T) {
 	for _, schedSeed := range []int64{1, 42, 2011} {
 		schedSeed := schedSeed
@@ -156,19 +155,11 @@ func TestShardedExecutionMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The schedule must be identical across shard counts, so rebuild
-			// it from a fresh RNG each run instead of sharing stateful draws.
 			schedule := func(victim string) netsim.FaultSchedule {
 				return randomFaultSchedule(rand.New(rand.NewSource(schedSeed)), victim)
 			}
-			want := shardDigest(t, schedSeed, 0, 2, tr, schedule)
-			for _, shards := range []int{1, 2, 4, 8} {
-				got := shardDigest(t, schedSeed, shards, 2, tr, schedule)
-				if got != want {
-					t.Fatalf("shards=%d diverged from sequential:\n--- sequential ---\n%s--- shards=%d ---\n%s",
-						shards, want, shards, got)
-				}
-			}
+			got := faultReplayDigest(t, schedSeed, 2, tr, schedule)
+			checkGolden(t, fmt.Sprintf("fault_replay_%d.golden", schedSeed), got)
 		})
 	}
 }

@@ -1,9 +1,12 @@
 package kv
 
 import (
-	"bytes"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,8 +14,10 @@ import (
 	"cloud4home/internal/overlay"
 )
 
-// logWire records every Send so two store builds can be compared
-// message-for-message.
+var update = flag.Bool("update", false, "rewrite the testdata goldens from the current build")
+
+// logWire records every Send so a store's traffic can be compared
+// message-for-message against a recorded log.
 type logWire struct {
 	mu  sync.Mutex
 	log [][2]ids.ID
@@ -30,116 +35,105 @@ func (w *logWire) snapshot() [][2]ids.ID {
 	return append([][2]ids.ID(nil), w.log...)
 }
 
-// TestCompactStoreMatchesFlat drives the same deterministic workload —
-// puts, gets, joins, leaves, crashes — against a flat-mesh store (per-node
-// churn handlers, full-membership attach sweep) and a compact-mesh store
-// (shared arena, global handlers, dirty-set walks) and requires the wire
-// traffic and every operation result to match exactly. This pins the
-// dirty-set and global-handler equivalence argument in kv.go.
+// churnTranscript drives a deterministic workload — puts, gets, joins,
+// leaves, crashes — against a store over a fresh mesh and renders every
+// operation result followed by the complete wire log.
+func churnTranscript(t *testing.T, seed int64) string {
+	t.Helper()
+	var b strings.Builder
+	wire := &logWire{}
+	mesh := overlay.NewMesh(wire)
+	store := New(mesh, wire, Options{ReplicationFactor: 2, CacheEnabled: true})
+	var alive []ids.ID
+	for i := 0; i < 10; i++ {
+		r, err := mesh.Join(fmt.Sprintf("10.9.%d.1:7000", i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Attach(r.Self().ID)
+		alive = append(alive, r.Self().ID)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	nextAddr := 100
+	for step := 0; step < 120; step++ {
+		switch op := rng.Intn(10); {
+		case op < 4: // put
+			from := alive[rng.Intn(len(alive))]
+			key := ids.HashString(fmt.Sprintf("obj-%d", rng.Intn(12)))
+			pr, err := store.Put(from, key, []byte(fmt.Sprintf("v%d", step)), Overwrite)
+			fmt.Fprintf(&b, "%d put %s %s: %+v err=%v\n", step, from, key, pr, err)
+		case op < 8: // get
+			from := alive[rng.Intn(len(alive))]
+			key := ids.HashString(fmt.Sprintf("obj-%d", rng.Intn(12)))
+			gr, err := store.Get(from, key)
+			fmt.Fprintf(&b, "%d get %s %s: hops=%d cache=%v v%d %q err=%v\n",
+				step, from, key, gr.Hops, gr.FromCache, gr.Value.Version, gr.Value.Data, err)
+		case op == 8: // join + attach
+			addr := fmt.Sprintf("10.9.200.%d:7000", nextAddr)
+			nextAddr++
+			r, err := mesh.Join(addr)
+			fmt.Fprintf(&b, "%d join %s err=%v\n", step, addr, err)
+			if err == nil {
+				store.Attach(r.Self().ID)
+				alive = append(alive, r.Self().ID)
+			}
+		default: // leave or crash
+			if len(alive) <= 4 {
+				continue
+			}
+			i := rng.Intn(len(alive))
+			id := alive[i]
+			alive = append(alive[:i], alive[i+1:]...)
+			if rng.Intn(2) == 0 {
+				fmt.Fprintf(&b, "%d depart %s\n", step, id)
+				if err := store.Depart(id); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				fmt.Fprintf(&b, "%d fail %s\n", step, id)
+				if err := mesh.Fail(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, m := range wire.snapshot() {
+		fmt.Fprintf(&b, "wire %s %s\n", m[0], m[1])
+	}
+	return b.String()
+}
+
+// TestCompactStoreMatchesFlat requires the store over the shared
+// membership arena — global churn handlers, dirty-set walks — to
+// reproduce, operation for operation and message for message, the
+// transcript recorded in testdata from the flat-membership store
+// (per-router membership copies, per-node churn handlers, full attach
+// sweep) it replaced. This pins the dirty-set and global-handler
+// equivalence argument in kv.go.
 func TestCompactStoreMatchesFlat(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			type build struct {
-				wire  *logWire
-				mesh  *overlay.Mesh
-				store *Store
-				nodes []ids.ID
-			}
-			mk := func(compact bool) *build {
-				b := &build{wire: &logWire{}}
-				if compact {
-					b.mesh = overlay.NewMeshCompact(b.wire)
-				} else {
-					b.mesh = overlay.NewMesh(b.wire)
+			got := churnTranscript(t, seed)
+			path := filepath.Join("testdata", fmt.Sprintf("churn_seed%d.golden", seed))
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
 				}
-				b.store = New(b.mesh, b.wire, Options{ReplicationFactor: 2, CacheEnabled: true})
-				for i := 0; i < 10; i++ {
-					r, err := b.mesh.Join(fmt.Sprintf("10.9.%d.1:7000", i+1))
-					if err != nil {
-						t.Fatal(err)
-					}
-					b.store.Attach(r.Self().ID)
-					b.nodes = append(b.nodes, r.Self().ID)
-				}
-				return b
+				return
 			}
-			flat, comp := mk(false), mk(true)
-
-			alive := append([]ids.ID(nil), flat.nodes...)
-			rng := rand.New(rand.NewSource(seed))
-			nextAddr := 100
-			for step := 0; step < 120; step++ {
-				switch op := rng.Intn(10); {
-				case op < 4: // put
-					from := alive[rng.Intn(len(alive))]
-					key := ids.HashString(fmt.Sprintf("obj-%d", rng.Intn(12)))
-					data := []byte(fmt.Sprintf("v%d", step))
-					pf, ef := flat.store.Put(from, key, data, Overwrite)
-					pc, ec := comp.store.Put(from, key, data, Overwrite)
-					if (ef == nil) != (ec == nil) || pf != pc {
-						t.Fatalf("step %d: put diverged: flat=%+v/%v compact=%+v/%v", step, pf, ef, pc, ec)
-					}
-				case op < 8: // get
-					from := alive[rng.Intn(len(alive))]
-					key := ids.HashString(fmt.Sprintf("obj-%d", rng.Intn(12)))
-					gf, ef := flat.store.Get(from, key)
-					gc, ec := comp.store.Get(from, key)
-					if (ef == nil) != (ec == nil) {
-						t.Fatalf("step %d: get err diverged: %v vs %v", step, ef, ec)
-					}
-					if ef == nil {
-						if gf.Hops != gc.Hops || gf.FromCache != gc.FromCache ||
-							gf.Value.Version != gc.Value.Version ||
-							!bytes.Equal(gf.Value.Data, gc.Value.Data) {
-							t.Fatalf("step %d: get diverged: flat=%+v compact=%+v", step, gf, gc)
-						}
-					}
-				case op == 8: // join + attach
-					addr := fmt.Sprintf("10.9.200.%d:7000", nextAddr)
-					nextAddr++
-					rf, ef := flat.mesh.Join(addr)
-					rc, ec := comp.mesh.Join(addr)
-					if (ef == nil) != (ec == nil) {
-						t.Fatalf("step %d: join err diverged: %v vs %v", step, ef, ec)
-					}
-					if ef == nil {
-						flat.store.Attach(rf.Self().ID)
-						comp.store.Attach(rc.Self().ID)
-						alive = append(alive, rf.Self().ID)
-					}
-				default: // leave or crash
-					if len(alive) <= 4 {
-						continue
-					}
-					i := rng.Intn(len(alive))
-					id := alive[i]
-					alive = append(alive[:i], alive[i+1:]...)
-					if rng.Intn(2) == 0 {
-						if err := flat.store.Depart(id); err != nil {
-							t.Fatal(err)
-						}
-						if err := comp.store.Depart(id); err != nil {
-							t.Fatal(err)
-						}
-					} else {
-						if err := flat.mesh.Fail(id); err != nil {
-							t.Fatal(err)
-						}
-						if err := comp.mesh.Fail(id); err != nil {
-							t.Fatal(err)
-						}
-					}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+			for i := 0; i < len(gl) && i < len(wl); i++ {
+				if gl[i] != wl[i] {
+					t.Fatalf("transcript line %d is %q, recorded flat store has %q", i+1, gl[i], wl[i])
 				}
 			}
-			lf, lc := flat.wire.snapshot(), comp.wire.snapshot()
-			if len(lf) != len(lc) {
-				t.Fatalf("wire log lengths diverged: flat=%d compact=%d", len(lf), len(lc))
-			}
-			for i := range lf {
-				if lf[i] != lc[i] {
-					t.Fatalf("wire log diverged at message %d: flat=%v compact=%v", i, lf[i], lc[i])
-				}
+			if len(gl) != len(wl) {
+				t.Fatalf("transcript has %d lines, recorded flat store has %d", len(gl), len(wl))
 			}
 		})
 	}

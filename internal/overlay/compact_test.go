@@ -1,15 +1,21 @@
 package overlay
 
 import (
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"cloud4home/internal/ids"
 )
 
-// recordWire logs every wire message so two meshes can be compared
-// send-for-send.
+var update = flag.Bool("update", false, "rewrite the testdata goldens from the current build")
+
+// recordWire logs every wire message so a mesh's traffic can be
+// compared send-for-send against a recorded log.
 type recordWire struct {
 	log [][2]ids.ID
 }
@@ -18,98 +24,90 @@ func (w *recordWire) Send(from, to ids.ID) {
 	w.log = append(w.log, [2]ids.ID{from, to})
 }
 
-// buildPair builds one flat and one compact mesh over the same n
-// addresses and returns them with their wires.
-func buildPair(t testing.TB, n int) (*Mesh, *Mesh, *recordWire, *recordWire) {
-	t.Helper()
-	fw, cw := &recordWire{}, &recordWire{}
-	flat, compact := NewMesh(fw), NewMeshCompact(cw)
-	for i := 0; i < n; i++ {
-		addr := fmt.Sprintf("city-%d:9000", i)
-		if _, err := flat.Join(addr); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := compact.Join(addr); err != nil {
-			t.Fatal(err)
-		}
+// render appends the wire log to b.
+func (w *recordWire) render(b *strings.Builder) {
+	for _, m := range w.log {
+		fmt.Fprintf(b, "wire %s %s\n", m[0], m[1])
 	}
-	return flat, compact, fw, cw
 }
 
-// TestCompactMeshMatchesFlat: every routing answer of a compact mesh —
-// owners, next hops, replica sets, neighbours, full routes, and the
-// exact wire-message log of joins/leaves — is bit-identical to a flat
-// mesh over the same membership.
-func TestCompactMeshMatchesFlat(t *testing.T) {
-	flat, compact, fw, cw := buildPair(t, 48)
-	if len(fw.log) != len(cw.log) {
-		t.Fatalf("join wire traffic: flat %d msgs, compact %d", len(fw.log), len(cw.log))
+// checkGolden compares got against testdata/name, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	for i := range fw.log {
-		if fw.log[i] != cw.log[i] {
-			t.Fatalf("join wire msg %d: flat %v, compact %v", i, fw.log[i], cw.log[i])
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s: line %d is %q, recorded flat mesh has %q", name, i+1, gl[i], wl[i])
 		}
 	}
+	if len(gl) != len(wl) {
+		t.Fatalf("%s: %d lines, recorded flat mesh has %d", name, len(gl), len(wl))
+	}
+}
 
-	nodes := flat.Nodes()
+// TestCompactMeshMatchesFlat: every routing answer of the arena-backed
+// mesh — owners, next hops, replica sets, neighbours, full routes, and
+// the exact wire-message log of joins — equals the transcript recorded
+// in testdata from the flat mesh (one private membership tree and
+// prefix table per router) it replaced.
+func TestCompactMeshMatchesFlat(t *testing.T) {
+	w := &recordWire{}
+	m := NewMesh(w)
+	for i := 0; i < 48; i++ {
+		if _, err := m.Join(fmt.Sprintf("city-%d:9000", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var b strings.Builder
+	w.render(&b)
+	nodes := m.Nodes()
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 400; trial++ {
 		key := ids.ID(rng.Uint64()) & ids.Max()
 		from := nodes[rng.Intn(len(nodes))]
-		fr, _ := flat.Router(from)
-		cr, _ := compact.Router(from)
-
-		if fo, co := fr.Owner(key), cr.Owner(key); fo != co {
-			t.Fatalf("Owner(%s) from %s: flat %v, compact %v", key, from, fo, co)
+		r, _ := m.Router(from)
+		next, fwd := r.NextHop(key)
+		fmt.Fprintf(&b, "%d %s from %s: owner=%s next=%s/%v", trial, key, from, r.Owner(key).ID, next.ID, fwd)
+		for _, mem := range r.ReplicaSet(key, rng.Intn(len(nodes)+2)+1) {
+			fmt.Fprintf(&b, " r=%s", mem.ID)
 		}
-		fn, ff := fr.NextHop(key)
-		cn, cf := cr.NextHop(key)
-		if fn != cn || ff != cf {
-			t.Fatalf("NextHop(%s) from %s: flat (%v,%v), compact (%v,%v)", key, from, fn, ff, cn, cf)
+		l, rt, ok := r.Neighbors()
+		fmt.Fprintf(&b, " nbrs=%s,%s/%v", l.ID, rt.ID, ok)
+		res, err := m.Route(from, key)
+		if err != nil {
+			t.Fatalf("route: %v", err)
 		}
-		rf := rng.Intn(len(nodes)+2) + 1
-		fs, cs := fr.ReplicaSet(key, rf), cr.ReplicaSet(key, rf)
-		if len(fs) != len(cs) {
-			t.Fatalf("ReplicaSet(%s, %d): flat %d members, compact %d", key, rf, len(fs), len(cs))
-		}
-		for i := range fs {
-			if fs[i] != cs[i] {
-				t.Fatalf("ReplicaSet(%s, %d)[%d]: flat %v, compact %v", key, rf, i, fs[i], cs[i])
-			}
-		}
-		fl, frt, fok := fr.Neighbors()
-		cl, crt, cok := cr.Neighbors()
-		if fl != cl || frt != crt || fok != cok {
-			t.Fatalf("Neighbors of %s differ: flat (%v,%v,%v) compact (%v,%v,%v)", from, fl, frt, fok, cl, crt, cok)
-		}
-
-		fres, err1 := flat.Route(from, key)
-		cres, err2 := compact.Route(from, key)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("route errors: %v / %v", err1, err2)
-		}
-		if fres.Owner != cres.Owner || fres.Hops != cres.Hops || len(fres.Path) != len(cres.Path) {
-			t.Fatalf("Route(%s) from %s: flat %+v, compact %+v", key, from, fres, cres)
-		}
+		fmt.Fprintf(&b, " route=%s hops=%d path=%d\n", res.Owner.ID, res.Hops, len(res.Path))
 	}
+	checkGolden(t, "mesh_routes.golden", b.String())
 }
 
-// TestCompactMeshChurnMatchesFlat drives an identical random join/leave/
-// fail schedule through both meshes and checks membership, owners, and
-// wire logs stay in lockstep throughout.
+// TestCompactMeshChurnMatchesFlat drives a random join/leave/fail
+// schedule and checks membership, owners, and the wire log against the
+// transcript recorded from the flat mesh.
 func TestCompactMeshChurnMatchesFlat(t *testing.T) {
-	fw, cw := &recordWire{}, &recordWire{}
-	flat, compact := NewMesh(fw), NewMeshCompact(cw)
+	w := &recordWire{}
+	m := NewMesh(w)
 	rng := rand.New(rand.NewSource(23))
 	var live []string
+	var b strings.Builder
 	nextAddr := 0
 	join := func() {
 		addr := fmt.Sprintf("churn-%d:9000", nextAddr)
 		nextAddr++
-		if _, err := flat.Join(addr); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := compact.Join(addr); err != nil {
+		if _, err := m.Join(addr); err != nil {
 			t.Fatal(err)
 		}
 		live = append(live, addr)
@@ -126,43 +124,26 @@ func TestCompactMeshChurnMatchesFlat(t *testing.T) {
 			id := ids.HashString(live[i])
 			live = append(live[:i], live[i+1:]...)
 			if op == 1 {
-				if err := flat.Leave(id); err != nil {
+				if err := m.Leave(id); err != nil {
 					t.Fatal(err)
 				}
-				if err := compact.Leave(id); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				if err := flat.Fail(id); err != nil {
-					t.Fatal(err)
-				}
-				if err := compact.Fail(id); err != nil {
-					t.Fatal(err)
-				}
+			} else if err := m.Fail(id); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if flat.Len() != compact.Len() || flat.Len() != len(live) {
-			t.Fatalf("step %d: flat %d, compact %d, live %d", step, flat.Len(), compact.Len(), len(live))
+		if m.Len() != len(live) {
+			t.Fatalf("step %d: mesh %d, live %d", step, m.Len(), len(live))
 		}
 		key := ids.ID(rng.Uint64()) & ids.Max()
 		from := ids.HashString(live[rng.Intn(len(live))])
-		fr, _ := flat.Router(from)
-		cr, _ := compact.Router(from)
-		if fr.Len() != cr.Len() || fr.Len() != len(live) {
-			t.Fatalf("step %d: router views flat %d, compact %d, live %d", step, fr.Len(), cr.Len(), len(live))
+		r, _ := m.Router(from)
+		if r.Len() != len(live) {
+			t.Fatalf("step %d: router view %d, live %d", step, r.Len(), len(live))
 		}
-		if fo, co := fr.Owner(key), cr.Owner(key); fo != co {
-			t.Fatalf("step %d: Owner(%s) flat %v, compact %v", step, key, fo, co)
-		}
+		fmt.Fprintf(&b, "%d len=%d owner(%s)=%s\n", step, m.Len(), key, r.Owner(key).ID)
 	}
-	if len(fw.log) != len(cw.log) {
-		t.Fatalf("wire traffic: flat %d msgs, compact %d", len(fw.log), len(cw.log))
-	}
-	for i := range fw.log {
-		if fw.log[i] != cw.log[i] {
-			t.Fatalf("wire msg %d: flat %v, compact %v", i, fw.log[i], cw.log[i])
-		}
-	}
+	w.render(&b)
+	checkGolden(t, "mesh_churn.golden", b.String())
 }
 
 // TestCompactGlobalHandlersFire: OnJoinAll/OnDepartureAll run once per
