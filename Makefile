@@ -55,9 +55,11 @@ race:
 check: build vet lint test race
 
 # One iteration of every benchmark, with the paper-reproduction metrics.
-# The stream also lands, machine-readable, in BENCH_baseline.json.
+# The stream also lands, machine-readable, in BENCH_baseline.json. One P
+# (-cpu 1) keeps one-iteration allocation counts independent of which
+# P's sync.Pool a goroutine lands on; CI's bench job runs the same way.
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x ./... | $(GO) run ./cmd/c4h-benchjson -o BENCH_baseline.json
+	$(GO) test -bench=. -cpu 1 -benchmem -benchtime=1x ./... | $(GO) run ./cmd/c4h-benchjson -o BENCH_baseline.json
 
 # Profile the hot-path experiment: CPU + allocation profiles and a
 # runtime execution trace. See DESIGN.md ("Hot-path performance") for

@@ -12,7 +12,8 @@
 // when any directional metric regressed past the threshold. Allocation
 // metrics (B/op, allocs/op) are deterministic on the virtual-time
 // testbed and gate by default under their own -alloc-threshold; only the
-// host wall-clock metrics (ns/op, MB/s) need -all to opt in:
+// host metrics (ns/op, MB/s and any unit prefixed "host-") need -all to
+// opt in:
 //
 //	c4h-benchjson diff [-threshold 0.10] [-alloc-threshold 0.10] [-all] BENCH_baseline.json bench-new.json
 package main
@@ -129,12 +130,16 @@ func metricDirection(unit string) int {
 	return 0
 }
 
-// realTimeMetric reports units that measure host wall time — too noisy
-// to gate on by default. The bare "MB/s" unit is testing's b.SetBytes
-// host throughput; the simulated throughput metrics use custom
+// realTimeMetric reports units that measure the host rather than the
+// simulation — too noisy to gate on by default. ns/op and the bare
+// "MB/s" unit (testing's b.SetBytes throughput) are the testing
+// package's own; a benchmark marks any custom host metric explicitly
+// with a "host-" unit prefix, because the unit's suffix alone cannot
+// tell host wall seconds ("host-sweep-s") from simulated ones
+// ("total-s"). The simulated throughput metrics use custom
 // "...-MBps"/"...-MB/s" units and stay gated.
 func realTimeMetric(unit string) bool {
-	return unit == "ns/op" || unit == "MB/s"
+	return unit == "ns/op" || unit == "MB/s" || strings.HasPrefix(unit, "host-")
 }
 
 // allocMetric reports the -benchmem allocator metrics. Unlike wall
@@ -217,7 +222,7 @@ func diffMain(argv []string) int {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	threshold := fs.Float64("threshold", 0.10, "relative regression threshold")
 	allocThreshold := fs.Float64("alloc-threshold", 0.10, "relative regression threshold for B/op and allocs/op")
-	all := fs.Bool("all", false, "also gate on the noisy host-time metrics (ns/op, MB/s)")
+	all := fs.Bool("all", false, "also gate on the noisy host metrics (ns/op, MB/s, host-*)")
 	_ = fs.Parse(argv)
 	if fs.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: c4h-benchjson diff [-threshold 0.10] [-alloc-threshold 0.10] [-all] old.json new.json")

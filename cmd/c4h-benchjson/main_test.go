@@ -96,6 +96,29 @@ func TestDiffSkipsNeutralAndHostTimeMetrics(t *testing.T) {
 	}
 }
 
+// TestDiffSkipsHostPrefixedMetrics: a "host-" unit marks a host
+// measurement whatever its suffix, so a doubled host wall time does not
+// gate by default while the simulated metric beside it still does.
+func TestDiffSkipsHostPrefixedMetrics(t *testing.T) {
+	oldRes := &Result{Benchmarks: []Benchmark{bench("BenchmarkE",
+		map[string]float64{"host-sweep-s": 1.0, "sweep-s": 1.0, "host-bytes-per-node": 300})}}
+	newRes := &Result{Benchmarks: []Benchmark{bench("BenchmarkE",
+		map[string]float64{"host-sweep-s": 2.0, "sweep-s": 1.0, "host-bytes-per-node": 900})}}
+	regs, compared := diffResults(oldRes, newRes, 0.10, 0.10, false)
+	if compared != 1 || len(regs) != 0 {
+		t.Fatalf("host-prefixed metric gated by default: compared=%d regs=%v", compared, regs)
+	}
+	if !realTimeMetric("host-sweep-s") || realTimeMetric("sweep-s") {
+		t.Fatal("realTimeMetric ignores the host- prefix")
+	}
+	// -all opts the host wall time in; the host byte gauge has no
+	// direction and never gates.
+	regs, compared = diffResults(oldRes, newRes, 0.10, 0.10, true)
+	if compared != 2 || len(regs) != 1 || regs[0].Metric != "host-sweep-s" {
+		t.Fatalf("-all: compared=%d regs=%v", compared, regs)
+	}
+}
+
 func TestDiffGatesAllocMetricsByDefault(t *testing.T) {
 	oldRes := &Result{Benchmarks: []Benchmark{bench("BenchmarkD",
 		map[string]float64{"B/op": 1000, "allocs/op": 100, "ns/op": 5000})}}

@@ -12,8 +12,7 @@ import (
 // homes, each contributing a single netbook-class node. This is the §VII
 // "multiple Cloud4Home systems interact" direction pushed to municipal
 // scale, where the simulator core itself — membership storage, event
-// dispatch, monitor scheduling — becomes the bottleneck ScaleConfig gates
-// address.
+// dispatch, monitor scheduling — becomes the bottleneck.
 type CityOptions struct {
 	// Seed drives all simulated randomness.
 	Seed int64
@@ -21,11 +20,10 @@ type CityOptions struct {
 	Homes int
 	// KV configures the metadata store (default: replication 1, caching).
 	KV *kv.Options
-	// Perf gates the hot-path performance work.
+	// Perf gates modeled hot-path behaviour.
 	Perf core.PerfConfig
-	// Scale gates the city-scale simulator core. CalendarQueue is applied
-	// here (the clock outlives the home); the remaining gates pass through
-	// to core.NewHome.
+	// Scale gates modeled city-scale behaviour (lazy monitors, super-peer
+	// tier).
 	Scale core.ScaleConfig
 }
 
@@ -48,14 +46,7 @@ func NewCity(opts CityOptions) (*City, error) {
 	if opts.KV != nil {
 		kvOpts = *opts.KV
 	}
-	clock := vclock.NewVirtual(Epoch)
-	switch {
-	case opts.Scale.CalendarQueue:
-		clock = vclock.NewVirtualCalendar(Epoch)
-	case opts.Perf.SimShards > 0:
-		clock = vclock.NewVirtualSharded(Epoch, opts.Perf.SimShards)
-	}
-	city := &City{V: clock}
+	city := &City{V: vclock.NewVirtual(Epoch)}
 	var err error
 	city.V.Run(func() {
 		city.Home = core.NewHome(city.V, core.HomeOptions{

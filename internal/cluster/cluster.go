@@ -89,13 +89,11 @@ type Options struct {
 	// Backends attaches extra federated storage backends (beyond the
 	// default S3 clone) built from these profiles, in order.
 	Backends []cloudsim.BackendProfile
-	// Perf gates the hot-path performance work (allocation-free data
-	// plane, sharded event loop); the zero value keeps the previous
-	// behaviour bit-for-bit.
+	// Perf gates modeled hot-path behaviour (fetch coalescing); the zero
+	// value is the paper's behaviour.
 	Perf core.PerfConfig
-	// Scale gates the city-scale simulator core (compact membership,
-	// calendar-queue dispatch, lazy monitors, super-peer tier); the zero
-	// value keeps the previous behaviour bit-for-bit.
+	// Scale gates modeled city-scale behaviour (lazy monitors, super-peer
+	// tier); the zero value is the paper's behaviour.
 	Scale core.ScaleConfig
 }
 
@@ -109,14 +107,7 @@ func New(opts Options) (*Testbed, error) {
 	if opts.KV != nil {
 		kvOpts = *opts.KV
 	}
-	clock := vclock.NewVirtual(Epoch)
-	switch {
-	case opts.Scale.CalendarQueue:
-		clock = vclock.NewVirtualCalendar(Epoch)
-	case opts.Perf.SimShards > 0:
-		clock = vclock.NewVirtualSharded(Epoch, opts.Perf.SimShards)
-	}
-	tb := &Testbed{V: clock, opts: opts}
+	tb := &Testbed{V: vclock.NewVirtual(Epoch), opts: opts}
 	var err error
 	tb.V.Run(func() {
 		tb.Home = core.NewHome(tb.V, core.HomeOptions{Seed: opts.Seed, KV: kvOpts, Perf: opts.Perf, Scale: opts.Scale})

@@ -84,7 +84,6 @@ type Home struct {
 
 	perf  PerfConfig  // hot-path gates; zero value = paper behaviour
 	scale ScaleConfig // city-scale gates; zero value = paper behaviour
-	memo  decodeMemo  // BatchedMeta: per-record decode cache
 }
 
 // HomeOptions configures a Home.
@@ -93,40 +92,29 @@ type HomeOptions struct {
 	Seed int64
 	// KV configures the metadata store (replication, caching).
 	KV kv.Options
-	// Perf gates the hot-path performance work; the zero value keeps the
-	// previous behaviour bit-for-bit.
+	// Perf gates modeled hot-path behaviour (fetch coalescing); the zero
+	// value is the paper's behaviour.
 	Perf PerfConfig
-	// Scale gates the city-scale simulator core (compact membership,
-	// calendar-queue dispatch, lazy monitors, super-peer tier); the zero
-	// value keeps the previous behaviour bit-for-bit.
+	// Scale gates modeled city-scale behaviour (lazy monitors, super-peer
+	// tier); the zero value is the paper's behaviour.
 	Scale ScaleConfig
 }
 
 // NewHome builds an empty home cloud on the given clock.
 func NewHome(clock vclock.Clock, opts HomeOptions) *Home {
 	net := netsim.New(clock, opts.Seed)
-	if opts.Perf.LazyRNG {
-		net.EnableLazyRNG()
-	}
 	fabric := netsim.NewResource("home-lan", netsim.LANFabricBps)
 	wire := newLANWire(net, fabric)
-	var mesh *overlay.Mesh
-	if opts.Scale.CompactMembership {
-		mesh = overlay.NewMeshCompact(wire)
-	} else {
-		mesh = overlay.NewMesh(wire)
-	}
+	mesh := overlay.NewMesh(wire)
 	if opts.Scale.SuperPeerRegions > 1 {
 		mesh.EnableSuperPeers(opts.Scale.SuperPeerRegions)
 	}
-	kvOpts := opts.KV
-	kvOpts.RouteMemo = opts.Perf.BatchedMeta
 	return &Home{
 		clock:  clock,
 		net:    net,
 		mesh:   mesh,
 		wire:   wire,
-		kv:     kv.New(mesh, wire, kvOpts),
+		kv:     kv.New(mesh, wire, opts.KV),
 		fabric: fabric,
 		nodes:  make(map[string]*Node),
 		perf:   opts.Perf,

@@ -456,12 +456,7 @@ func wanDownPathFor(n *Node, cloud *cloudsim.Cloud) *netsim.Path {
 	return netsim.WANDownPath(cloud.DownPipe(), n.nic)
 }
 
-// resources looks up a candidate's monitored resource record. With
-// BatchedMeta on, the record is read zero-copy and decoded through the
-// home's memo: the decision layer queries every candidate per operation,
-// but records only change once per monitor period, so most lookups skip
-// the JSON pass. The kv walk (and its wire charges) is identical either
-// way.
+// resources looks up a candidate's monitored resource record.
 func (n *Node) resources(addr string) (monitor.Resources, error) {
 	if n.home.scale.LazyMonitors {
 		// On-demand materialisation: the candidate publishes (or memoises,
@@ -472,15 +467,7 @@ func (n *Node) resources(addr string) (monitor.Resources, error) {
 			}
 		}
 	}
-	if !n.home.perf.BatchedMeta {
-		return monitor.Lookup(n.home.kv, n.id, addr)
-	}
-	key := monitor.Key(addr)
-	gr, err := n.home.kv.GetRef(n.id, key)
-	if err != nil {
-		return monitor.Resources{}, fmt.Errorf("monitor: lookup %s: %w", addr, err)
-	}
-	return n.home.memo.resources(key, gr.Value)
+	return monitor.Lookup(n.home.kv, n.id, addr)
 }
 
 // chimeraIPC is the cost of one VStore++ ↔ metadata-layer exchange:
@@ -507,7 +494,10 @@ func (n *Node) putMeta(meta ObjectMeta) error {
 
 // getMeta resolves an object's metadata, measuring the DHT lookup time.
 // It reads through kv's zero-copy path: the record is decoded immediately
-// and the raw bytes are never retained.
+// and the raw bytes are never retained. Records are keyed by the 40-bit
+// hash of the name (the paper's Chimera keying), so a record holding a
+// different name belongs to a colliding object: the requested one is
+// reported missing rather than served as the other.
 func (n *Node) getMeta(name string) (ObjectMeta, time.Duration, error) {
 	start := n.clock.Now()
 	n.clock.Sleep(chimeraIPC)
@@ -526,10 +516,9 @@ func (n *Node) getMeta(name string) (ObjectMeta, time.Duration, error) {
 		}
 		return ObjectMeta{}, lookup, err
 	}
-	if n.home.perf.BatchedMeta {
-		meta, err := n.home.memo.objectMeta(key, gr.Value)
-		return meta, lookup, err
-	}
 	meta, err := UnmarshalObjectMeta(gr.Value.Data)
+	if err == nil && meta.Name != name {
+		return ObjectMeta{}, lookup, fmt.Errorf("%w: %q (key %s holds %q)", ErrObjectNotFound, name, key, meta.Name)
+	}
 	return meta, lookup, err
 }

@@ -1,43 +1,15 @@
 package core
 
-// PerfConfig gates the hot-path performance work: the allocation-free
-// data plane and the sharded event loop. The zero value reproduces the
-// repository's previous behaviour bit-for-bit, and every gate except
-// CoalesceFetch is also *result*-preserving — it changes what the host
-// CPU does per simulated event, never which events happen or when, so
-// experiments report byte-identical numbers with the gates on or off
-// (experiments.RunHotPath verifies exactly that). CoalesceFetch is a
-// modeled behaviour change: concurrent fetches of one hot object share a
-// single wire transfer, which is the point.
+// PerfConfig gates modeled hot-path behaviour. The zero value is the
+// paper's behaviour. The simulator's result-preserving speedups — the
+// lazily seeded per-operation RNG, the shared membership arena and the
+// targeted-wakeup clock — are not gates: they are the only code path,
+// pinned to the paper-mode goldens under internal/experiments/testdata.
 type PerfConfig struct {
-	// LazyRNG draws per-operation jitter streams from the pooled,
-	// lazily materialised generator engine (internal/detrand) instead of
-	// seeding a fresh stdlib source per network operation. Values are
-	// bit-identical; the O(607) per-operation reseed — the simulator's
-	// single largest CPU cost — collapses to a handful of modular
-	// multiplications.
-	LazyRNG bool
-	// SimShards, when positive, runs the virtual clock's sharded engine:
-	// per-shard sleeper queues merged deterministically at every advance,
-	// so each heap operation works on a queue 1/shards the size.
-	// Schedules are identical at any shard count. Applied by the cluster
-	// layer at testbed construction (the clock outlives any single home).
-	SimShards int
-	// BatchedMeta batches the put/fetch paths' metadata round-trips:
-	// one overlay route computation is reused across the put+replicate+
-	// publish trio via the kv layer's route memo, and hot metadata and
-	// resource records are decoded once per version instead of once per
-	// operation. Wire charges are unchanged — the same messages cross
-	// the same hops at the same instants.
-	BatchedMeta bool
 	// CoalesceFetch merges concurrent remote fetches of the same object:
 	// the first requester runs the wire transfer, followers park on a
 	// deterministic event and are charged exactly the virtual time until
-	// the leader's bytes arrive, then copy the payload locally.
+	// the leader's bytes arrive, then copy the payload locally. This is a
+	// modeled change: the shared transfer is the point.
 	CoalesceFetch bool
-}
-
-// Enabled reports whether any gate is on.
-func (p PerfConfig) Enabled() bool {
-	return p.LazyRNG || p.SimShards > 0 || p.BatchedMeta || p.CoalesceFetch
 }

@@ -1,30 +1,12 @@
 package core
 
-// ScaleConfig gates the city-scale simulator core. The zero value
-// reproduces the repository's previous behaviour bit-for-bit: flat
-// per-router membership, the default virtual-clock engine, eager
-// periodic monitors, and no aggregation tier. CompactMembership and
-// CalendarQueue are *result*-preserving — they change host-side memory
-// and CPU per simulated event, never which events happen or when, so
-// virtual-time metrics are byte-identical with the gates on or off
-// (experiments.RunCityScale verifies exactly that). LazyMonitors and
-// SuperPeerRegions are modeled behaviour changes: fewer publish events
-// and a different hop structure are the point.
+// ScaleConfig gates modeled city-scale behaviour. The zero value is the
+// paper's behaviour: eager periodic monitors and no aggregation tier.
+// Both gates change which events happen — fewer publish events and a
+// different hop structure are the point. The city-scale core itself
+// (one interned membership arena, the heap clock with targeted wakeups)
+// is not gated: it is the only code path.
 type ScaleConfig struct {
-	// CompactMembership stores the overlay membership once, in a shared
-	// interned arena, instead of one full red-black copy plus a
-	// materialised prefix table per router. Every routing answer is
-	// recomputed from the shared tree on demand and is bit-identical to
-	// the flat router's (see internal/overlay/arena.go for the proof
-	// obligations); aggregate membership memory drops from O(N²) to O(N).
-	CompactMembership bool
-	// CalendarQueue runs the virtual clock on the calendar-queue engine:
-	// O(1) amortized enqueue/dequeue over deadline buckets plus targeted
-	// single-sleeper wakeups, replacing the O(log N) heap and the
-	// broadcast that woke every sleeper per advance. Wake order — and
-	// therefore every schedule — is identical. Applied by the cluster
-	// layer at testbed construction (the clock outlives any single home).
-	CalendarQueue bool
 	// LazyMonitors materialises resource records on demand instead of
 	// running one periodic publisher goroutine per node: a node's record
 	// is published when a decision path first reads it and refreshed only
@@ -43,5 +25,5 @@ type ScaleConfig struct {
 
 // Enabled reports whether any gate is on.
 func (s ScaleConfig) Enabled() bool {
-	return s.CompactMembership || s.CalendarQueue || s.LazyMonitors || s.SuperPeerRegions > 1
+	return s.LazyMonitors || s.SuperPeerRegions > 1
 }

@@ -73,8 +73,7 @@ type OpStats struct {
 	KVHops        int64
 	SuperPeerHops int64
 	// ArenaBytes is a snapshot-time gauge of the shared membership
-	// arena's resident bytes (whole-mesh, not per-node); zero unless
-	// ScaleConfig.CompactMembership is on.
+	// arena's resident bytes (whole-mesh, not per-node).
 	ArenaBytes int64
 }
 

@@ -220,7 +220,7 @@ type nodeStats struct {
 	ShardReconstructs int64 `json:"shardReconstructs,omitempty"`
 	// City-scale counters: total metadata-routing hops, the super-peer
 	// subset (zero unless ScaleConfig enables the aggregation tier), and
-	// the shared membership arena gauge (zero unless CompactMembership).
+	// the shared membership arena gauge (whole-mesh).
 	KVHops        int64 `json:"kvHops,omitempty"`
 	SuperPeerHops int64 `json:"superPeerHops,omitempty"`
 	ArenaBytes    int64 `json:"arenaBytes,omitempty"`

@@ -9,8 +9,8 @@
 // Two levers remove that cost without changing a single drawn value:
 //
 //   - Pooling: generator state is recycled through a sync.Pool, so the
-//     per-operation allocation disappears in every mode.
-//   - Lazy seeding (opt-in, used by core.PerfConfig): the additive
+//     per-operation allocation disappears.
+//   - Lazy seeding: the additive
 //     lagged-Fibonacci state vec[i] that Seed builds eagerly is a pure
 //     function of (seed, i) — three values of the seeding LCG
 //     x_{n+1} = 48271·x_n mod 2³¹−1 XORed with a fixed cooked table.
@@ -222,15 +222,16 @@ var lazyPool = sync.Pool{New: func() any {
 	return &Rand{Rand: rand.New(src), src: src}
 }}
 
-// Get returns a pooled generator seeded with seed. With lazy set the
-// generator defers state materialisation (cheap for operations that draw
-// a few values); otherwise it reseeds a pooled stdlib source. Both
-// produce identical streams. Pair with Put.
+// Get returns a pooled generator seeded with seed. The generator defers
+// state materialisation, which is cheap for operations that draw a few
+// values; on a runtime where the lazy engine failed its startup check it
+// reseeds a pooled stdlib source instead. Both produce identical
+// streams. Pair with Put.
 //
 // c4h:hotpath
-func Get(seed int64, lazy bool) *Rand {
+func Get(seed int64) *Rand {
 	setupOnce.Do(setup)
-	if lazy && lazyOK {
+	if lazyOK {
 		r := lazyPool.Get().(*Rand)
 		r.src.Seed(seed)
 		return r

@@ -30,15 +30,34 @@ func TestLazySourceMatchesStdlib(t *testing.T) {
 	}
 }
 
+// forceEager runs fn with the lazy engine marked unavailable, as on a
+// runtime whose generator layout failed the startup check, so Get takes
+// its eager stdlib fallback.
+func forceEager(fn func()) {
+	setupOnce.Do(setup)
+	saved := lazyOK
+	lazyOK = false
+	defer func() { lazyOK = saved }()
+	fn()
+}
+
 // TestPooledRandMatchesStdlib checks the full Rand API surface the
 // simulator uses (NormFloat64 goes through Uint32/Float64 internally)
-// for both pool modes, including generator reuse across seeds.
+// for the lazy engine and the eager fallback, including generator reuse
+// across seeds.
 func TestPooledRandMatchesStdlib(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
+		get := Get
+		if !lazy {
+			get = func(seed int64) (r *Rand) {
+				forceEager(func() { r = Get(seed) })
+				return r
+			}
+		}
 		for trial := 0; trial < 3; trial++ { // reuse pooled state across trials
 			for _, seed := range []int64{7, -7, 2011*1_000_003 + 1, 1 << 40} {
 				ref := rand.New(rand.NewSource(seed))
-				r := Get(seed, lazy)
+				r := get(seed)
 				for i := 0; i < 200; i++ {
 					if got, want := r.NormFloat64(), ref.NormFloat64(); got != want {
 						t.Fatalf("lazy=%v seed %d NormFloat64 draw %d: got %v want %v", lazy, seed, i, got, want)
@@ -79,16 +98,18 @@ func TestMulmod(t *testing.T) {
 }
 
 func BenchmarkSeedDrawEager(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := Get(int64(i), false)
-		r.NormFloat64()
-		Put(r)
-	}
+	forceEager(func() {
+		for i := 0; i < b.N; i++ {
+			r := Get(int64(i))
+			r.NormFloat64()
+			Put(r)
+		}
+	})
 }
 
 func BenchmarkSeedDrawLazy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := Get(int64(i), true)
+		r := Get(int64(i))
 		r.NormFloat64()
 		Put(r)
 	}

@@ -14,9 +14,8 @@ import (
 )
 
 // CityScaleConfig parameterises the city-scale sweep: one overlay of N
-// home nodes driven by a deterministic population workload, run with the
-// ScaleConfig gates on at every size and with the gates off at small
-// sizes to prove the gated simulator core is result-preserving.
+// home nodes driven by a deterministic population workload, measuring
+// routing, repair traffic and the host memory each node costs.
 type CityScaleConfig struct {
 	Seed int64
 	// Nodes is the sweep's population sizes (default 1000, 10000, 100000).
@@ -28,22 +27,14 @@ type CityScaleConfig struct {
 	// ChurnEvents is the number of node failures injected after the
 	// workload to measure KV repair traffic (default 4).
 	ChurnEvents int
-	// IdentityMax is the largest size that also runs a gates-off baseline
-	// for the bit-identity comparison and the memory ratio (default 1000).
-	IdentityMax int
-	// WallPairMax is the largest size that also runs a gates-off baseline
-	// purely for the host wall-clock ratio (default 10000). Sizes above it
-	// run gated-only: a flat build would not fit the host.
-	WallPairMax int
-	// Scale is the gate set under test; the zero value is replaced by
-	// compact membership + calendar queue + lazy monitors.
+	// Scale is the modeled gate set; the zero value is replaced by lazy
+	// monitors.
 	Scale core.ScaleConfig
 	// Regions configures the super-peer cell's aggregation tier
 	// (default 8); the cell runs at the smallest sweep size.
 	Regions int
-	// Host times the host-side (real) duration of each build+run — the
-	// numbers the result-preserving gates are allowed to change. Nil means
-	// the real wall clock.
+	// Host times the host-side (real) duration of each build+run. Nil
+	// means the real wall clock.
 	Host vclock.Clock
 }
 
@@ -53,9 +44,9 @@ func DefaultCityScale(seed int64) CityScaleConfig {
 }
 
 // CityScaleMetrics are one run's virtual-time (and virtual-traffic)
-// results: every field is schedule-determined, so two runs of the same
-// city differing only in result-preserving gates must produce equal
-// structs. Host-side measurements live on CityScaleRow instead.
+// results: every field is schedule-determined, so reruns of the same
+// city produce equal structs. Host-side measurements live on
+// CityScaleRow instead.
 type CityScaleMetrics struct {
 	Nodes int
 	// Ops splits the executed workload.
@@ -76,36 +67,13 @@ type CityScaleMetrics struct {
 
 // CityScaleRow is one sweep size's full record.
 type CityScaleRow struct {
-	Gated CityScaleMetrics
-	// BytesPerNode is the host resident-heap delta of building the gated
-	// city, divided by the node count (measured under runtime.GC, so it is
-	// a host-side figure excluded from the identity comparison).
+	Metrics CityScaleMetrics
+	// BytesPerNode is the host resident-heap delta of building the city,
+	// divided by the node count (measured under runtime.GC, so it is a
+	// host-side figure, not schedule-determined).
 	BytesPerNode int64
-	// GatedWall is the host wall clock of the gated build + run.
-	GatedWall time.Duration
-	// Baseline* are filled when the size ran a gates-off arm:
-	// BaselineBytesPerNode and BaselineWall below IdentityMax and
-	// WallPairMax respectively (zero otherwise).
-	Baseline             *CityScaleMetrics
-	BaselineBytesPerNode int64
-	BaselineWall         time.Duration
-}
-
-// MemRatio is baseline/gated resident bytes per node (0 when no baseline
-// memory figure was taken).
-func (r CityScaleRow) MemRatio() float64 {
-	if r.BaselineBytesPerNode <= 0 || r.BytesPerNode <= 0 {
-		return 0
-	}
-	return float64(r.BaselineBytesPerNode) / float64(r.BytesPerNode)
-}
-
-// WallRatio is baseline/gated host wall clock (0 when no baseline ran).
-func (r CityScaleRow) WallRatio() float64 {
-	if r.BaselineWall <= 0 || r.GatedWall <= 0 {
-		return 0
-	}
-	return float64(r.BaselineWall) / float64(r.GatedWall)
+	// HostWall is the host wall clock of the build + run.
+	HostWall time.Duration
 }
 
 // CitySuperPeerCell measures the aggregation tier at the smallest sweep
@@ -123,19 +91,15 @@ type CitySuperPeerCell struct {
 
 // CityScaleResult is RunCityScale's report.
 type CityScaleResult struct {
-	Rows []CityScaleRow
-	// Identical reports that every size with a baseline arm produced
-	// bit-identical virtual metrics; Mismatch names the first difference.
-	Identical bool
-	Mismatch  string
+	Rows      []CityScaleRow
 	SuperPeer CitySuperPeerCell
 }
 
 // cityArm builds one city and drives the population workload through its
 // kv layer, then injects churn and measures repair traffic. All ops run
 // sequentially inside the virtual clock, so the schedule — and every
-// metric — is a pure function of (seed, nodes, gates' modeled behaviour).
-func cityArm(cfg CityScaleConfig, nodes int, scale core.ScaleConfig) (CityScaleMetrics, int64, error) {
+// metric — is a pure function of (seed, nodes, modeled gates).
+func cityArm(cfg CityScaleConfig, nodes int) (CityScaleMetrics, int64, error) {
 	ops, err := trace.GeneratePopulation(trace.PopulationConfig{
 		Seed:          cfg.Seed,
 		Homes:         nodes,
@@ -154,7 +118,7 @@ func cityArm(cfg CityScaleConfig, nodes int, scale core.ScaleConfig) (CityScaleM
 	city, err := cluster.NewCity(cluster.CityOptions{
 		Seed:  cfg.Seed,
 		Homes: nodes,
-		Scale: scale,
+		Scale: cfg.Scale,
 	})
 	if err != nil {
 		return CityScaleMetrics{}, 0, err
@@ -239,10 +203,8 @@ func cityArm(cfg CityScaleConfig, nodes int, scale core.ScaleConfig) (CityScaleM
 	return m, bytesPerNode, nil
 }
 
-// RunCityScale sweeps the configured node counts. Every size runs with
-// the gates on; sizes within IdentityMax also run a gates-off baseline
-// whose virtual metrics must match bit-for-bit, and sizes within
-// WallPairMax run the baseline for the host wall-clock comparison.
+// RunCityScale sweeps the configured node counts, then runs the
+// super-peer cell at the smallest size.
 func RunCityScale(cfg CityScaleConfig) (*CityScaleResult, error) {
 	if len(cfg.Nodes) == 0 {
 		cfg.Nodes = []int{1_000, 10_000, 100_000}
@@ -256,14 +218,8 @@ func RunCityScale(cfg CityScaleConfig) (*CityScaleResult, error) {
 	if cfg.ChurnEvents == 0 {
 		cfg.ChurnEvents = 4
 	}
-	if cfg.IdentityMax == 0 {
-		cfg.IdentityMax = 1_000
-	}
-	if cfg.WallPairMax == 0 {
-		cfg.WallPairMax = 10_000
-	}
 	if !cfg.Scale.Enabled() {
-		cfg.Scale = core.ScaleConfig{CompactMembership: true, CalendarQueue: true, LazyMonitors: true}
+		cfg.Scale = core.ScaleConfig{LazyMonitors: true}
 	}
 	if cfg.Regions == 0 {
 		cfg.Regions = 8
@@ -273,43 +229,23 @@ func RunCityScale(cfg CityScaleConfig) (*CityScaleResult, error) {
 		host = vclock.Real{}
 	}
 
-	res := &CityScaleResult{Identical: true}
+	res := &CityScaleResult{}
 	for _, n := range cfg.Nodes {
-		var row CityScaleRow
 		t0 := host.Now()
-		gated, bpn, err := cityArm(cfg, n, cfg.Scale)
+		m, bpn, err := cityArm(cfg, n)
 		if err != nil {
-			return nil, fmt.Errorf("city scale gated n=%d: %w", n, err)
+			return nil, fmt.Errorf("city scale n=%d: %w", n, err)
 		}
-		row.GatedWall = host.Now().Sub(t0)
-		row.Gated, row.BytesPerNode = gated, bpn
-
-		if n <= cfg.WallPairMax {
-			t1 := host.Now()
-			base, baseBpn, err := cityArm(cfg, n, core.ScaleConfig{})
-			if err != nil {
-				return nil, fmt.Errorf("city scale baseline n=%d: %w", n, err)
-			}
-			row.BaselineWall = host.Now().Sub(t1)
-			row.Baseline = &base
-			if n <= cfg.IdentityMax {
-				row.BaselineBytesPerNode = baseBpn
-				if res.Identical && base != gated {
-					res.Identical = false
-					res.Mismatch = fmt.Sprintf("n=%d: baseline %+v vs gated %+v", n, base, gated)
-				}
-			}
-		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, CityScaleRow{Metrics: m, BytesPerNode: bpn, HostWall: host.Now().Sub(t0)})
 	}
 
-	// Super-peer cell: the smallest size, gated, with the aggregation
-	// tier on. The tier is a modeled change (hop structure differs), so
-	// it is measured beside the identity pair, not inside it.
+	// Super-peer cell: the smallest size with the aggregation tier on.
+	// The tier is a modeled change (hop structure differs), so it is
+	// measured beside the sweep, not inside it.
 	spScale := cfg.Scale
 	spScale.SuperPeerRegions = cfg.Regions
 	spNodes := cfg.Nodes[0]
-	sp, _, err := citySuperPeerCell(cfg, spNodes, spScale)
+	sp, err := citySuperPeerCell(cfg, spNodes, spScale)
 	if err != nil {
 		return nil, fmt.Errorf("city scale super-peer cell: %w", err)
 	}
@@ -319,7 +255,7 @@ func RunCityScale(cfg CityScaleConfig) (*CityScaleResult, error) {
 
 // citySuperPeerCell runs the workload under the aggregation tier and
 // splits hops by tier.
-func citySuperPeerCell(cfg CityScaleConfig, nodes int, scale core.ScaleConfig) (CitySuperPeerCell, int64, error) {
+func citySuperPeerCell(cfg CityScaleConfig, nodes int, scale core.ScaleConfig) (CitySuperPeerCell, error) {
 	ops, err := trace.GeneratePopulation(trace.PopulationConfig{
 		Seed:          cfg.Seed,
 		Homes:         nodes,
@@ -328,11 +264,11 @@ func citySuperPeerCell(cfg CityScaleConfig, nodes int, scale core.ScaleConfig) (
 		StoreFraction: 0.4,
 	})
 	if err != nil {
-		return CitySuperPeerCell{}, 0, err
+		return CitySuperPeerCell{}, err
 	}
 	city, err := cluster.NewCity(cluster.CityOptions{Seed: cfg.Seed, Homes: nodes, Scale: scale})
 	if err != nil {
-		return CitySuperPeerCell{}, 0, err
+		return CitySuperPeerCell{}, err
 	}
 	cell := CitySuperPeerCell{Nodes: nodes, Regions: scale.SuperPeerRegions}
 	var runErr error
@@ -371,38 +307,27 @@ func citySuperPeerCell(cfg CityScaleConfig, nodes int, scale core.ScaleConfig) (
 		}
 	})
 	if runErr != nil {
-		return CitySuperPeerCell{}, 0, runErr
+		return CitySuperPeerCell{}, runErr
 	}
-	return cell, 0, nil
+	return cell, nil
 }
 
 // Table renders the sweep.
 func (r *CityScaleResult) Table() Table {
-	ident := "DIVERGED: " + r.Mismatch
-	if r.Identical {
-		ident = "bit-identical"
-	}
 	t := Table{
-		Title: "City scale: compact membership + calendar queue vs flat core (" + ident + ")",
+		Title: "City scale: shared membership arena + targeted-wakeup clock",
 		Headers: []string{"Nodes", "Lookup hops", "Fetch mean", "Messages", "Repair msgs",
-			"Bytes/node", "Mem ratio", "Wall ratio"},
+			"Bytes/node", "Host wall"},
 	}
 	for _, row := range r.Rows {
-		mem, wall := "-", "-"
-		if v := row.MemRatio(); v > 0 {
-			mem = fmt.Sprintf("%.1fx", v)
-		}
-		if v := row.WallRatio(); v > 0 {
-			wall = fmt.Sprintf("%.2fx", v)
-		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", row.Gated.Nodes),
-			fmt.Sprintf("%.2f", row.Gated.MeanLookupHops),
-			Seconds(row.Gated.FetchMean),
-			fmt.Sprintf("%d", row.Gated.Messages),
-			fmt.Sprintf("%d", row.Gated.RepairMessages),
+			fmt.Sprintf("%d", row.Metrics.Nodes),
+			fmt.Sprintf("%.2f", row.Metrics.MeanLookupHops),
+			Seconds(row.Metrics.FetchMean),
+			fmt.Sprintf("%d", row.Metrics.Messages),
+			fmt.Sprintf("%d", row.Metrics.RepairMessages),
 			fmt.Sprintf("%d", row.BytesPerNode),
-			mem, wall,
+			row.HostWall.Round(time.Millisecond).String(),
 		})
 	}
 	t.Rows = append(t.Rows, []string{
@@ -410,7 +335,7 @@ func (r *CityScaleResult) Table() Table {
 		fmt.Sprintf("%.2f (max %d)", r.SuperPeer.MeanHops, r.SuperPeer.MaxHops),
 		"-", "-", "-",
 		fmt.Sprintf("super %d / home %d", r.SuperPeer.SuperHops, r.SuperPeer.HomeHops),
-		"-", "-",
+		"-",
 	})
 	return t
 }

@@ -1,56 +1,55 @@
 package experiments
 
 import (
+	"encoding/json"
 	"testing"
 )
 
-// TestCityScaleIdentity runs a scaled-down city sweep with a baseline arm
-// at every size and asserts the tentpole's core property: the
-// result-preserving gates (compact membership, calendar queue, lazy
-// monitors) reproduce the flat core's virtual-time metrics bit for bit.
+// TestCityScaleIdentity runs a scaled-down city sweep and asserts the
+// city-scale core's defining property: the shared membership arena and
+// the targeted-wakeup clock reproduce, bit for bit, the virtual-time
+// metrics recorded in testdata from the flat core (one membership tree
+// and prefix table per router, broadcast-wakeup clock, eager monitors)
+// they replaced. It also checks the sweep's shape and that per-node host
+// memory does not grow with the city, as flat membership's did.
 func TestCityScaleIdentity(t *testing.T) {
-	sizes := []int{64, 200}
-	if testing.Short() {
-		sizes = []int{64}
-	}
 	res, err := RunCityScale(CityScaleConfig{
 		Seed:        7,
-		Nodes:       sizes,
+		Nodes:       []int{64, 200},
 		Ops:         300,
 		Objects:     40,
 		ChurnEvents: 3,
-		IdentityMax: 200,
-		WallPairMax: 200,
 		Regions:     4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Identical {
-		t.Fatalf("gated core diverged from flat core: %s", res.Mismatch)
+	out, err := json.MarshalIndent(cityScaleVirtual(res), "", "  ")
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkGolden(t, "cityscale.json", string(out)+"\n")
+
 	var repairTotal int64
 	for _, row := range res.Rows {
-		if row.Baseline == nil {
-			t.Fatalf("n=%d: baseline arm missing", row.Gated.Nodes)
+		m := row.Metrics
+		if m.Fetches == 0 || m.Stores == 0 {
+			t.Fatalf("n=%d: workload did not execute: %+v", m.Nodes, m)
 		}
-		if row.Gated.Fetches == 0 || row.Gated.Stores == 0 {
-			t.Fatalf("n=%d: workload did not execute: %+v", row.Gated.Nodes, row.Gated)
+		if m.MeanLookupHops <= 0 {
+			t.Fatalf("n=%d: no lookup hops recorded", m.Nodes)
 		}
-		if row.Gated.MeanLookupHops <= 0 {
-			t.Fatalf("n=%d: no lookup hops recorded", row.Gated.Nodes)
+		if m.RepairMessages < 0 {
+			t.Fatalf("n=%d: negative repair traffic", m.Nodes)
 		}
-		if row.Gated.RepairMessages < 0 {
-			t.Fatalf("n=%d: negative repair traffic", row.Gated.Nodes)
-		}
-		repairTotal += row.Gated.RepairMessages
-		if ratio := row.MemRatio(); ratio < 2 {
-			t.Errorf("n=%d: compact membership saved only %.1fx bytes/node (gated %d, flat %d)",
-				row.Gated.Nodes, ratio, row.BytesPerNode, row.BaselineBytesPerNode)
-		}
-		t.Logf("n=%d hops=%.2f fetch=%v msgs=%d repair=%d bytes/node=%d (flat %d, %.1fx) wall=%.2fx",
-			row.Gated.Nodes, row.Gated.MeanLookupHops, row.Gated.FetchMean, row.Gated.Messages,
-			row.Gated.RepairMessages, row.BytesPerNode, row.BaselineBytesPerNode, row.MemRatio(), row.WallRatio())
+		repairTotal += m.RepairMessages
+		t.Logf("n=%d hops=%.2f fetch=%v msgs=%d repair=%d bytes/node=%d",
+			m.Nodes, m.MeanLookupHops, m.FetchMean, m.Messages, m.RepairMessages, row.BytesPerNode)
+	}
+	// Flat membership cost O(N) bytes per node, so tripling the city
+	// tripled it; the arena's per-node cost is constant.
+	if small, large := res.Rows[0].BytesPerNode, res.Rows[1].BytesPerNode; small > 0 && large > 2*small {
+		t.Errorf("bytes/node grew from %d at n=64 to %d at n=200", small, large)
 	}
 
 	// Some sweep sizes can legitimately see zero repair traffic (the
@@ -61,7 +60,7 @@ func TestCityScaleIdentity(t *testing.T) {
 	}
 
 	sp := res.SuperPeer
-	if sp.Regions != 4 || sp.Nodes != sizes[0] {
+	if sp.Regions != 4 || sp.Nodes != 64 {
 		t.Fatalf("super-peer cell ran with wrong shape: %+v", sp)
 	}
 	// home → regional aggregator → key's aggregator → owner is the longest

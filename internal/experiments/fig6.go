@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"cloud4home/internal/cluster"
 	"cloud4home/internal/core"
@@ -142,7 +143,10 @@ func runFig6Point(cfg Fig6Config, remotePct, threads int) (float64, error) {
 		}
 
 		// Fetch phase: client sessions on the first cfg.Clients netbooks;
-		// `threads` workers drain a shared queue of fetches.
+		// `threads` workers drain a shared queue of fetches. Workers start
+		// 500 µs apart: started together, they would race for the first
+		// jobs and for the network's per-operation RNG streams in Go
+		// scheduler order, making the multi-thread points nondeterministic.
 		clients := make([]*core.Session, cfg.Clients)
 		for i := 0; i < cfg.Clients; i++ {
 			clients[i], err = tb.Netbooks[i%len(tb.Netbooks)].OpenSession()
@@ -168,6 +172,7 @@ func runFig6Point(cfg Fig6Config, remotePct, threads int) (float64, error) {
 			tb.V.Go(func() {
 				defer wg.Done()
 				client := clients[w%len(clients)]
+				tb.V.Sleep(time.Duration(w) * 500 * time.Microsecond)
 				for {
 					j, ok := jobs.take()
 					if !ok {

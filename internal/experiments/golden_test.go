@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"cloud4home/internal/core"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from the current build")
@@ -41,12 +39,6 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// goldenCityScale is the small city sweep the golden pins: two sizes,
-// a churn window, and a four-region super-peer cell.
-func goldenCityScale() CityScaleConfig {
-	return CityScaleConfig{Seed: 7, Nodes: []int{64, 200}, Ops: 300, Objects: 40, ChurnEvents: 3, Regions: 4}
-}
-
 // goldenRuns lists every experiment driver at its paper-mode default
 // configuration (the one the benchmarks run), each returning the
 // virtual-time part of its result. Host-side figures — wall clocks and
@@ -75,20 +67,11 @@ var goldenRuns = []struct {
 	{"availability", func() (any, error) { return RunAvailability(DefaultAvailability(goldenSeed)) }},
 	{"federation", func() (any, error) { return RunFederation(DefaultFederation(goldenSeed)) }},
 	{"hotpath", func() (any, error) {
-		cfg := DefaultHotPath(goldenSeed)
-		cfg.Perf = core.PerfConfig{}
-		res, err := RunHotPath(cfg)
+		res, err := RunHotPath(DefaultHotPath(goldenSeed))
 		if err != nil {
 			return nil, err
 		}
 		return hotPathVirtual(res), nil
-	}},
-	{"cityscale", func() (any, error) {
-		res, err := RunCityScale(goldenCityScale())
-		if err != nil {
-			return nil, err
-		}
-		return cityScaleVirtual(res), nil
 	}},
 }
 
@@ -114,17 +97,17 @@ func TestRunGoldens(t *testing.T) {
 	}
 }
 
-// Parent-state extractors: the gates-off arms are the paper-mode
-// reference the goldens are recorded from.
+// hotPathGolden is the virtual-time part of a HotPathResult.
 type hotPathGolden struct {
 	Sweep    *ScaleUpResult
 	Coalesce CoalesceResult
 }
 
 func hotPathVirtual(r *HotPathResult) hotPathGolden {
-	return hotPathGolden{Sweep: r.Baseline, Coalesce: r.Coalesce}
+	return hotPathGolden{Sweep: r.Sweep, Coalesce: r.Coalesce}
 }
 
+// cityScaleGolden is the virtual-time part of a CityScaleResult.
 type cityScaleGolden struct {
 	Rows      []CityScaleMetrics
 	SuperPeer CitySuperPeerCell
@@ -133,7 +116,7 @@ type cityScaleGolden struct {
 func cityScaleVirtual(r *CityScaleResult) cityScaleGolden {
 	g := cityScaleGolden{SuperPeer: r.SuperPeer}
 	for _, row := range r.Rows {
-		g.Rows = append(g.Rows, *row.Baseline)
+		g.Rows = append(g.Rows, row.Metrics)
 	}
 	return g
 }

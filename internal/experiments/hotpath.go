@@ -10,34 +10,28 @@ import (
 	"cloud4home/internal/vclock"
 )
 
-// HotPathConfig parameterises the hot-path gate verification driver: it
-// proves the result-preserving gates (lazy RNG, sharded clock, batched
-// metadata) change host wall-clock but not one bit of the simulation's
-// output, and measures what fetch coalescing — the one modeled behaviour
-// change — buys on a hot object.
+// HotPathConfig parameterises the hot-path driver: it times, on the
+// host, the scale-up sweep whose striped fetch cells are the simulator's
+// hottest path, and measures what fetch coalescing — a modeled
+// behaviour change — buys on a hot object.
 type HotPathConfig struct {
 	Seed int64
 	// Workers bounds host-side concurrency of the scale-up cells.
 	Workers int
-	// Perf is the gate set under test. CoalesceFetch is ignored here (it
-	// is a modeled change, measured by the coalescing section instead).
-	Perf core.PerfConfig
 	// CoalesceClients concurrent sessions fetch the same hot object in the
 	// coalescing section.
 	CoalesceClients int
 	// CoalesceSize is the hot object's size.
 	CoalesceSize int64
-	// Host is the clock that times the sweeps' host-side (real) duration —
-	// the one number the result-preserving gates are allowed to change.
+	// Host is the clock that times the sweep's host-side (real) duration.
 	// Nil means the real wall clock.
 	Host vclock.Clock
 }
 
-// DefaultHotPath turns on every result-preserving gate.
+// DefaultHotPath returns the standard configuration.
 func DefaultHotPath(seed int64) HotPathConfig {
 	return HotPathConfig{
 		Seed:            seed,
-		Perf:            core.PerfConfig{LazyRNG: true, SimShards: 4, BatchedMeta: true},
 		CoalesceClients: 4,
 		CoalesceSize:    8 * MB,
 	}
@@ -60,33 +54,18 @@ type CoalesceResult struct {
 	SharedFetch Stats
 }
 
-// HotPathResult is RunHotPath's comparison.
+// HotPathResult is RunHotPath's report.
 type HotPathResult struct {
-	// Baseline ran with every gate off, Gated with cfg.Perf.
-	Baseline, Gated *ScaleUpResult
-	// BaselineHost/GatedHost are host (real) wall-clock times for the two
-	// scale-up sweeps — the only numbers the gates may change.
-	BaselineHost, GatedHost time.Duration
-	// Identical reports that every virtual-time metric matched exactly;
-	// Mismatch names the first difference otherwise.
-	Identical bool
-	Mismatch  string
+	// Sweep is the scale-up sweep's virtual-time result.
+	Sweep *ScaleUpResult
+	// SweepHost is the host (real) wall-clock time the sweep took to
+	// simulate — a host figure, unlike every other field.
+	SweepHost time.Duration
 	Coalesce  CoalesceResult
 }
 
-// Speedup is the host wall-clock ratio baseline/gated.
-func (r *HotPathResult) Speedup() float64 {
-	if r.GatedHost <= 0 {
-		return 0
-	}
-	return float64(r.BaselineHost) / float64(r.GatedHost)
-}
-
-// RunHotPath runs the scale-up sweep twice — gates off, then gates on —
-// and verifies the reported virtual-time results are bit-identical while
-// recording the host wall-clock of each pass. It then measures the
-// coalescing gate separately, since that one intentionally changes the
-// modeled schedule.
+// RunHotPath runs the scale-up sweep, timing it on the host, then
+// measures concurrent hot-object fetches with coalescing off and on.
 func RunHotPath(cfg HotPathConfig) (*HotPathResult, error) {
 	if cfg.CoalesceClients <= 0 {
 		cfg.CoalesceClients = 4
@@ -103,22 +82,11 @@ func RunHotPath(cfg HotPathConfig) (*HotPathResult, error) {
 	sweep := DefaultScaleUp(cfg.Seed)
 	sweep.Workers = cfg.Workers
 	t0 := host.Now()
-	baseline, err := RunScaleUp(sweep)
-	if err != nil {
-		return nil, fmt.Errorf("hot path baseline: %w", err)
+	var err error
+	if res.Sweep, err = RunScaleUp(sweep); err != nil {
+		return nil, fmt.Errorf("hot path sweep: %w", err)
 	}
-	res.BaselineHost = host.Now().Sub(t0)
-
-	sweep.Perf = cfg.Perf
-	sweep.Perf.CoalesceFetch = false
-	t1 := host.Now()
-	gated, err := RunScaleUp(sweep)
-	if err != nil {
-		return nil, fmt.Errorf("hot path gated: %w", err)
-	}
-	res.GatedHost = host.Now().Sub(t1)
-	res.Baseline, res.Gated = baseline, gated
-	res.Identical, res.Mismatch = compareScaleUp(baseline, gated)
+	res.SweepHost = host.Now().Sub(t0)
 
 	res.Coalesce.Requests = cfg.CoalesceClients
 	solo, err := runCoalesceCell(cfg, false)
@@ -135,21 +103,6 @@ func RunHotPath(cfg HotPathConfig) (*HotPathResult, error) {
 	return res, nil
 }
 
-// compareScaleUp reports whether two sweeps produced identical rows, and
-// if not, where they first diverge. Rows are plain value structs, so ==
-// is an exact bitwise comparison of every reported metric.
-func compareScaleUp(a, b *ScaleUpResult) (bool, string) {
-	if len(a.Rows) != len(b.Rows) {
-		return false, fmt.Sprintf("row count %d vs %d", len(a.Rows), len(b.Rows))
-	}
-	for i := range a.Rows {
-		if a.Rows[i] != b.Rows[i] {
-			return false, fmt.Sprintf("row %d: %+v vs %+v", i, a.Rows[i], b.Rows[i])
-		}
-	}
-	return true, ""
-}
-
 type coalesceCell struct {
 	wall      time.Duration
 	fetch     Stats
@@ -160,9 +113,7 @@ type coalesceCell struct {
 // CoalesceClients sessions on one netbook fetch it near-simultaneously
 // (staggered 500 µs apart so the run is deterministic).
 func runCoalesceCell(cfg HotPathConfig, coalesce bool) (coalesceCell, error) {
-	perf := cfg.Perf
-	perf.CoalesceFetch = coalesce
-	tb, err := cluster.New(cluster.Options{Seed: cfg.Seed, Perf: perf})
+	tb, err := cluster.New(cluster.Options{Seed: cfg.Seed, Perf: core.PerfConfig{CoalesceFetch: coalesce}})
 	if err != nil {
 		return coalesceCell{}, err
 	}
@@ -221,19 +172,13 @@ func runCoalesceCell(cfg HotPathConfig, coalesce bool) (coalesceCell, error) {
 	return cell, nil
 }
 
-// Table renders the comparison.
+// Table renders the report.
 func (r *HotPathResult) Table() Table {
-	ident := "DIVERGED: " + r.Mismatch
-	if r.Identical {
-		ident = "bit-identical"
-	}
 	return Table{
-		Title:   "Hot path: gated simulation speed vs baseline (identical results)",
-		Headers: []string{"Measure", "Baseline", "Gated"},
+		Title:   "Hot path: scale-up sweep host cost and fetch coalescing",
+		Headers: []string{"Measure", "Coalescing off", "Coalescing on"},
 		Rows: [][]string{
-			{"scale-up host wall", r.BaselineHost.Round(time.Millisecond).String(), r.GatedHost.Round(time.Millisecond).String()},
-			{"host speedup", "1.00x", fmt.Sprintf("%.2fx", r.Speedup())},
-			{"virtual-time results", ident, ident},
+			{"scale-up sweep host wall", r.SweepHost.Round(time.Millisecond).String(), "-"},
 			{fmt.Sprintf("coalesce wall (%d readers)", r.Coalesce.Requests),
 				Seconds(r.Coalesce.SoloWall), Seconds(r.Coalesce.SharedWall)},
 			{"coalesce fetch mean", Seconds(r.Coalesce.SoloFetch.Mean), Seconds(r.Coalesce.SharedFetch.Mean)},

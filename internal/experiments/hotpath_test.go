@@ -137,8 +137,6 @@ func faultReplayDigest(t *testing.T, seed int64, clients int, tr *trace.Trace, s
 // of a payload holder mid-replay), the simulation must reproduce the
 // digest recorded in testdata from the sequential heap engine — every
 // fetch latency, every failure, the final clock, and all fault counters.
-// The sharded and calendar engines were once held to the same digest;
-// the single engine that replaced them is held to it now.
 func TestShardedExecutionMatchesSequential(t *testing.T) {
 	for _, schedSeed := range []int64{1, 42, 2011} {
 		schedSeed := schedSeed

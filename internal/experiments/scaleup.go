@@ -29,11 +29,6 @@ type ScaleUpConfig struct {
 	// clock universe, so results are identical at any worker count; the
 	// cells just overlap on host CPUs.
 	Workers int
-	// Perf gates the hot-path performance work inside each cell's testbed.
-	// All result-preserving gates leave every reported number bit-identical
-	// (RunHotPath verifies this); they only change the host-side cost of
-	// simulating each event.
-	Perf core.PerfConfig
 }
 
 // DefaultScaleUp sweeps 1, 2 and 4 client threads over four 8 MB objects.
@@ -118,7 +113,6 @@ func RunScaleUp(cfg ScaleUpConfig) (*ScaleUpResult, error) {
 			Seed:      cfg.Seed,
 			Netbooks:  cfg.Replicas + maxClients,
 			DataPlane: mode.dp,
-			Perf:      cfg.Perf,
 		})
 		if err != nil {
 			errs[i] = err

@@ -168,7 +168,6 @@ func (p *Path) Validate() error {
 type Network struct {
 	clock vclock.Clock
 	seed  int64
-	lazy  bool
 	ctr   atomic.Uint64
 
 	// Traffic accounting: constant-cost atomic bumps on the charge paths,
@@ -185,14 +184,6 @@ type Network struct {
 func New(clock vclock.Clock, seed int64) *Network {
 	return &Network{clock: clock, seed: seed}
 }
-
-// EnableLazyRNG switches per-operation jitter streams to the lazily
-// materialised generator engine (core.PerfConfig.LazyRNG). Every drawn
-// value is bit-identical to the default engine — detrand verifies the
-// equivalence against math/rand at startup — so schedules and results do
-// not change; only the per-operation seeding cost does. Call during
-// setup, before traffic flows.
-func (n *Network) EnableLazyRNG() { n.lazy = true }
 
 // Clock returns the clock the network charges time to.
 func (n *Network) Clock() vclock.Clock { return n.clock }
@@ -212,7 +203,7 @@ func (n *Network) Traffic() (messages, transfers, bytes int64) {
 // c4h:hotpath
 func (n *Network) rng() *detrand.Rand {
 	k := n.ctr.Add(1)
-	return detrand.Get(n.seed*1_000_003+int64(k), n.lazy)
+	return detrand.Get(n.seed*1_000_003 + int64(k))
 }
 
 // putRNG recycles an operation's generator.

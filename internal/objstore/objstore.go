@@ -13,6 +13,7 @@
 package objstore
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -82,18 +83,20 @@ type Usage struct {
 // Free returns the remaining capacity.
 func (u Usage) Free() int64 { return u.Capacity - u.Used }
 
-// backend stores and retrieves object payloads.
+// backend stores and retrieves object payloads, keyed by the full object
+// name. Keying by anything shorter — the 40-bit DHT hash, say — would
+// let two names that collide on one node overwrite each other's bytes.
 type backend interface {
-	put(key string, data []byte, size int64) error
-	get(key string) ([]byte, error)
+	put(name string, data []byte, size int64) error
+	get(name string) ([]byte, error)
 	// ref returns the payload without copying when the backend can; the
 	// result must be treated as read-only.
-	ref(key string) ([]byte, error)
+	ref(name string) ([]byte, error)
 	// replace atomically overwrites an existing payload: on failure the
 	// old payload must remain readable (disk stages into a temp file and
 	// renames over the original).
-	replace(key string, data []byte, size int64) error
-	delete(key string) error
+	replace(name string, data []byte, size int64) error
+	delete(name string) error
 }
 
 type entry struct {
@@ -165,7 +168,7 @@ func (s *Store) Put(bin Bin, meta Object, data []byte) error {
 		return fmt.Errorf("%w: %s bin %d/%d bytes, object %q needs %d",
 			ErrBinFull, bin, u.Used, u.Capacity, meta.Name, meta.Size)
 	}
-	if err := s.be.put(fileKey(meta.Name), data, meta.Size); err != nil {
+	if err := s.be.put(meta.Name, data, meta.Size); err != nil {
 		return fmt.Errorf("objstore: put %q: %w", meta.Name, err)
 	}
 	s.objects[meta.Name] = entry{meta: meta, bin: bin}
@@ -202,7 +205,7 @@ func (s *Store) Replace(meta Object, data []byte) error {
 		return fmt.Errorf("%w: %s bin %d/%d bytes, replacing %q needs %d more",
 			ErrBinFull, e.bin, u.Used, u.Capacity, meta.Name, meta.Size-e.meta.Size)
 	}
-	if err := s.be.replace(fileKey(meta.Name), data, meta.Size); err != nil {
+	if err := s.be.replace(meta.Name, data, meta.Size); err != nil {
 		return fmt.Errorf("objstore: replace %q: %w", meta.Name, err)
 	}
 	u.Used += meta.Size - e.meta.Size
@@ -219,7 +222,7 @@ func (s *Store) Get(name string) (Object, []byte, error) {
 	if !ok {
 		return Object{}, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	data, err := s.be.get(fileKey(name))
+	data, err := s.be.get(name)
 	if err != nil {
 		return Object{}, nil, fmt.Errorf("objstore: get %q: %w", name, err)
 	}
@@ -237,7 +240,7 @@ func (s *Store) GetRef(name string) (Object, []byte, error) {
 	if !ok {
 		return Object{}, nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	data, err := s.be.ref(fileKey(name))
+	data, err := s.be.ref(name)
 	if err != nil {
 		return Object{}, nil, fmt.Errorf("objstore: get %q: %w", name, err)
 	}
@@ -271,7 +274,7 @@ func (s *Store) Delete(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	if err := s.be.delete(fileKey(name)); err != nil {
+	if err := s.be.delete(name); err != nil {
 		return fmt.Errorf("objstore: delete %q: %w", name, err)
 	}
 	delete(s.objects, name)
@@ -305,35 +308,30 @@ func (s *Store) List() []string {
 	return out
 }
 
-// fileKey maps an object name to a safe backend key (the one-to-one
-// object→file mapping, with the DHT hash as the file name).
-func fileKey(name string) string {
-	return ids.HashString(name).String()
-}
-
-// memBackend keeps payloads in memory; sparse objects store a nil slice.
+// memBackend keeps payloads in memory, keyed by object name; sparse
+// objects store a nil slice.
 type memBackend struct {
 	mu   sync.Mutex
 	data map[string][]byte
 }
 
-func (m *memBackend) put(key string, data []byte, _ int64) error {
+func (m *memBackend) put(name string, data []byte, _ int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if data == nil {
-		m.data[key] = nil
+		m.data[name] = nil
 		return nil
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	m.data[key] = cp
+	m.data[name] = cp
 	return nil
 }
 
-func (m *memBackend) get(key string) ([]byte, error) {
+func (m *memBackend) get(name string) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	data, ok := m.data[key]
+	data, ok := m.data[name]
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -345,10 +343,10 @@ func (m *memBackend) get(key string) ([]byte, error) {
 	return cp, nil
 }
 
-func (m *memBackend) ref(key string) ([]byte, error) {
+func (m *memBackend) ref(name string) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	data, ok := m.data[key]
+	data, ok := m.data[name]
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -357,14 +355,14 @@ func (m *memBackend) ref(key string) ([]byte, error) {
 
 // replace in memory is a plain overwrite: the map assignment is atomic
 // under the backend mutex and cannot half-fail.
-func (m *memBackend) replace(key string, data []byte, size int64) error {
-	return m.put(key, data, size)
+func (m *memBackend) replace(name string, data []byte, size int64) error {
+	return m.put(name, data, size)
 }
 
-func (m *memBackend) delete(key string) error {
+func (m *memBackend) delete(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.data, key)
+	delete(m.data, name)
 	return nil
 }
 
@@ -374,12 +372,39 @@ type diskBackend struct {
 	dir string
 }
 
-func (d *diskBackend) path(key string) string {
-	return filepath.Join(d.dir, key+".obj")
+// nameSegment bounds one path component of an encoded name, keeping
+// every component under common file-name limits (255 bytes).
+const nameSegment = 200
+
+// path maps an object name to its file: the lowercase hex of the name's
+// bytes — injective, so distinct names never share a file, and safe on
+// case-insensitive file systems — split into nameSegment-character
+// directories when long, plus ".obj". Directory components carry no
+// suffix, so they never clash with a shorter name's file.
+func (d *diskBackend) path(name string) string {
+	enc := hex.EncodeToString([]byte(name))
+	parts := []string{d.dir}
+	for len(enc) > nameSegment {
+		parts = append(parts, enc[:nameSegment])
+		enc = enc[nameSegment:]
+	}
+	return filepath.Join(append(parts, enc+".obj")...)
 }
 
-func (d *diskBackend) put(key string, data []byte, size int64) error {
-	path := d.path(key)
+// create makes the parent directories of name's file and returns its path.
+func (d *diskBackend) create(name string) (string, error) {
+	path := d.path(name)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return "", err
+	}
+	return path, nil
+}
+
+func (d *diskBackend) put(name string, data []byte, size int64) error {
+	path, err := d.create(name)
+	if err != nil {
+		return err
+	}
 	if data == nil {
 		f, err := os.Create(path)
 		if err != nil {
@@ -394,8 +419,8 @@ func (d *diskBackend) put(key string, data []byte, size int64) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-func (d *diskBackend) get(key string) ([]byte, error) {
-	data, err := os.ReadFile(d.path(key))
+func (d *diskBackend) get(name string) ([]byte, error) {
+	data, err := os.ReadFile(d.path(name))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, ErrNotFound
@@ -406,12 +431,15 @@ func (d *diskBackend) get(key string) ([]byte, error) {
 }
 
 // ref on disk has no resident copy to share, so it reads like get.
-func (d *diskBackend) ref(key string) ([]byte, error) { return d.get(key) }
+func (d *diskBackend) ref(name string) ([]byte, error) { return d.get(name) }
 
 // replace stages the new payload in a temp file and renames it over the
 // original, so a failed write leaves the old object file intact.
-func (d *diskBackend) replace(key string, data []byte, size int64) error {
-	path := d.path(key)
+func (d *diskBackend) replace(name string, data []byte, size int64) error {
+	path, err := d.create(name)
+	if err != nil {
+		return err
+	}
 	tmp := path + ".tmp"
 	if data == nil {
 		f, err := os.Create(tmp)
@@ -438,8 +466,8 @@ func (d *diskBackend) replace(key string, data []byte, size int64) error {
 	return nil
 }
 
-func (d *diskBackend) delete(key string) error {
-	err := os.Remove(d.path(key))
+func (d *diskBackend) delete(name string) error {
+	err := os.Remove(d.path(name))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}

@@ -7,12 +7,11 @@ import (
 	"cloud4home/internal/rbtree"
 )
 
-// Arena is the shared, interned membership store behind a compact mesh
-// (core.ScaleConfig.CompactMembership). In the flat overlay every router
-// keeps a private red-black copy of the full membership, so aggregate
-// memory is O(N²) — the hard ceiling on simulated city size. A compact
-// mesh keeps ONE tree in the arena; routers hold only their own identity
-// and a pointer to it.
+// Arena is the shared, interned membership store behind a mesh. Giving
+// every router a private red-black copy of the full membership would
+// make aggregate memory O(N²) — the hard ceiling on simulated city size.
+// The mesh keeps ONE tree in the arena; routers hold only their own
+// identity and a pointer to it.
 //
 // Ownership rules:
 //
@@ -24,9 +23,7 @@ import (
 //     safe because ids.Closer is a strict total order: each of those
 //     quantities is the unique minimum of a Closer comparison over a
 //     key range, so lazy recomputation returns bit-identical answers to
-//     the flat routers' eagerly-maintained copies (see closestInRange).
-//   - gen increments on every membership change; callers may use it to
-//     memoise derived state, though the router currently recomputes.
+//     eagerly-maintained per-router copies (see closestInRange).
 type Arena struct {
 	mu sync.RWMutex
 	// members is the interned membership store. References into it (the
@@ -34,13 +31,12 @@ type Arena struct {
 	// chain, never retain across a mutation point — c4h-vet's arenaowner
 	// rule enforces this annotation mechanically.
 	members   *rbtree.Tree[Member] // c4h:arena
-	gen       uint64
 	addrBytes int64
 }
 
 // NewArena returns an empty shared membership arena.
 func NewArena() *Arena {
-	return &Arena{members: rbtree.New[Member](), gen: 1}
+	return &Arena{members: rbtree.New[Member]()}
 }
 
 // Insert interns a member. Inserting an existing ID refreshes its record.
@@ -52,7 +48,6 @@ func (a *Arena) Insert(m Member) {
 	}
 	a.members.Insert(m.ID, m)
 	a.addrBytes += int64(len(m.Addr))
-	a.gen++
 }
 
 // Remove forgets a member.
@@ -62,9 +57,7 @@ func (a *Arena) Remove(id ids.ID) {
 	if old, ok := a.members.Get(id); ok {
 		a.addrBytes -= int64(len(old.Addr))
 	}
-	if a.members.Delete(id) {
-		a.gen++
-	}
+	a.members.Delete(id)
 }
 
 // Len returns the current membership size.
@@ -72,13 +65,6 @@ func (a *Arena) Len() int {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	return a.members.Len()
-}
-
-// Gen returns the membership generation counter.
-func (a *Arena) Gen() uint64 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.gen
 }
 
 // arenaNodeBytes estimates the resident size of one interned membership
@@ -99,8 +85,8 @@ func (a *Arena) Bytes() int64 {
 // ---- Shared tree geometry ----
 //
 // The helpers below answer routing questions about a membership tree in
-// O(log N) tree probes instead of a full scan. They are shared by the
-// flat per-router trees and the arena, and every one of them returns the
+// O(log N) tree probes instead of a full scan, and every one of them
+// returns the
 // exact member a full Ascend fold minimising ids.Closer would: Closer is
 // a strict total order (ring distance, ties to the numerically smaller
 // ID), so each minimum is unique and independent of scan order.

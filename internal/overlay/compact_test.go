@@ -147,42 +147,35 @@ func TestCompactMeshChurnMatchesFlat(t *testing.T) {
 }
 
 // TestCompactGlobalHandlersFire: OnJoinAll/OnDepartureAll run once per
-// event in both mesh modes.
+// event.
 func TestCompactGlobalHandlersFire(t *testing.T) {
-	for _, mode := range []string{"flat", "compact"} {
-		var m *Mesh
-		if mode == "flat" {
-			m = NewMesh(FreeWire{})
-		} else {
-			m = NewMeshCompact(FreeWire{})
-		}
-		var joins, departs []ids.ID
-		m.OnJoinAll(func(j Member) { joins = append(joins, j.ID) })
-		m.OnDepartureAll(func(d Member) { departs = append(departs, d.ID) })
-		for i := 0; i < 5; i++ {
-			if _, err := m.Join(fmt.Sprintf("gh-%d:1", i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if len(joins) != 5 {
-			t.Fatalf("%s: %d join events, want 5", mode, len(joins))
-		}
-		if err := m.Leave(joins[1]); err != nil {
+	m := NewMesh(FreeWire{})
+	var joins, departs []ids.ID
+	m.OnJoinAll(func(j Member) { joins = append(joins, j.ID) })
+	m.OnDepartureAll(func(d Member) { departs = append(departs, d.ID) })
+	for i := 0; i < 5; i++ {
+		if _, err := m.Join(fmt.Sprintf("gh-%d:1", i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Fail(joins[3]); err != nil {
-			t.Fatal(err)
-		}
-		if len(departs) != 2 || departs[0] != joins[1] || departs[1] != joins[3] {
-			t.Fatalf("%s: departure events %v, want [%s %s]", mode, departs, joins[1], joins[3])
-		}
+	}
+	if len(joins) != 5 {
+		t.Fatalf("%d join events, want 5", len(joins))
+	}
+	if err := m.Leave(joins[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Fail(joins[3]); err != nil {
+		t.Fatal(err)
+	}
+	if len(departs) != 2 || departs[0] != joins[1] || departs[1] != joins[3] {
+		t.Fatalf("departure events %v, want [%s %s]", departs, joins[1], joins[3])
 	}
 }
 
 // TestArenaBytesGrowsAndShrinks: the arena footprint gauge tracks
 // membership.
 func TestArenaBytesGrowsAndShrinks(t *testing.T) {
-	m := NewMeshCompact(FreeWire{})
+	m := NewMesh(FreeWire{})
 	if m.ArenaBytes() != 0 {
 		t.Fatalf("empty arena reports %d bytes", m.ArenaBytes())
 	}
@@ -206,78 +199,67 @@ func TestArenaBytesGrowsAndShrinks(t *testing.T) {
 	if half := m.ArenaBytes(); half >= full || half <= 0 {
 		t.Fatalf("arena bytes %d after leaves, was %d", half, full)
 	}
-	flat := NewMesh(FreeWire{})
-	if flat.ArenaBytes() != 0 {
-		t.Fatal("flat mesh must report zero arena bytes")
-	}
 }
 
 // TestSuperPeerLookupMatchesFlatOwner is the hierarchical-lookup property
 // test: across random memberships and random fault schedules, with 1, 2,
 // and 4 regional domains, routing from every live node resolves every
-// key to exactly the owner flat routing picks, and spine traffic is
-// attributed to SuperHops.
+// key to exactly the owner flat (tier-less) routing picks, and spine
+// traffic is attributed to SuperHops.
 func TestSuperPeerLookupMatchesFlatOwner(t *testing.T) {
 	for _, regions := range []int{1, 2, 4} {
 		for seed := int64(0); seed < 4; seed++ {
 			rng := rand.New(rand.NewSource(100*int64(regions) + seed))
-			for _, mode := range []string{"flat", "compact"} {
-				var sp, ref *Mesh
-				if mode == "flat" {
-					sp, ref = NewMesh(FreeWire{}), NewMesh(FreeWire{})
+			sp, ref := NewMesh(FreeWire{}), NewMesh(FreeWire{})
+			sp.EnableSuperPeers(regions)
+			n := 6 + rng.Intn(10)
+			var live []string
+			for i := 0; i < n; i++ {
+				addr := fmt.Sprintf("sp-%d-%d-%d:9000", regions, seed, i)
+				if _, err := sp.Join(addr); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ref.Join(addr); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, addr)
+			}
+			// Random fault schedule: a few crashes and departures.
+			for k := 0; k < 1+rng.Intn(3) && len(live) > 3; k++ {
+				i := rng.Intn(len(live))
+				id := ids.HashString(live[i])
+				live = append(live[:i], live[i+1:]...)
+				var err1, err2 error
+				if rng.Intn(2) == 0 {
+					err1, err2 = sp.Fail(id), ref.Fail(id)
 				} else {
-					sp, ref = NewMeshCompact(FreeWire{}), NewMeshCompact(FreeWire{})
+					err1, err2 = sp.Leave(id), ref.Leave(id)
 				}
-				sp.EnableSuperPeers(regions)
-				n := 6 + rng.Intn(10)
-				var live []string
-				for i := 0; i < n; i++ {
-					addr := fmt.Sprintf("sp-%d-%d-%d:9000", regions, seed, i)
-					if _, err := sp.Join(addr); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := ref.Join(addr); err != nil {
-						t.Fatal(err)
-					}
-					live = append(live, addr)
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
 				}
-				// Random fault schedule: a few crashes and departures.
-				for k := 0; k < 1+rng.Intn(3) && len(live) > 3; k++ {
-					i := rng.Intn(len(live))
-					id := ids.HashString(live[i])
-					live = append(live[:i], live[i+1:]...)
-					var err1, err2 error
-					if rng.Intn(2) == 0 {
-						err1, err2 = sp.Fail(id), ref.Fail(id)
-					} else {
-						err1, err2 = sp.Leave(id), ref.Leave(id)
-					}
-					if err1 != nil || err2 != nil {
-						t.Fatal(err1, err2)
-					}
+			}
+			for trial := 0; trial < 60; trial++ {
+				key := ids.ID(rng.Uint64()) & ids.Max()
+				from := ids.HashString(live[rng.Intn(len(live))])
+				fromR, _ := ref.Router(from)
+				wantOwner := fromR.Owner(key)
+				res, err := sp.Route(from, key)
+				if err != nil {
+					t.Fatalf("regions=%d seed=%d: route: %v", regions, seed, err)
 				}
-				for trial := 0; trial < 60; trial++ {
-					key := ids.ID(rng.Uint64()) & ids.Max()
-					from := ids.HashString(live[rng.Intn(len(live))])
-					fromR, _ := ref.Router(from)
-					wantOwner := fromR.Owner(key)
-					res, err := sp.Route(from, key)
-					if err != nil {
-						t.Fatalf("regions=%d seed=%d %s: route: %v", regions, seed, mode, err)
-					}
-					if res.Owner != wantOwner {
-						t.Fatalf("regions=%d seed=%d %s: key %s owner %v, flat owner %v",
-							regions, seed, mode, key, res.Owner, wantOwner)
-					}
-					if res.Hops > 3 {
-						t.Fatalf("regions=%d: %d hops through the super-peer tier, want <= 3", regions, res.Hops)
-					}
-					if res.SuperHops > res.Hops {
-						t.Fatalf("SuperHops %d > Hops %d", res.SuperHops, res.Hops)
-					}
-					if regions == 1 && res.SuperHops > 1 {
-						t.Fatalf("single region: %d super hops, want <= 1", res.SuperHops)
-					}
+				if res.Owner != wantOwner {
+					t.Fatalf("regions=%d seed=%d: key %s owner %v, flat owner %v",
+						regions, seed, key, res.Owner, wantOwner)
+				}
+				if res.Hops > 3 {
+					t.Fatalf("regions=%d: %d hops through the super-peer tier, want <= 3", regions, res.Hops)
+				}
+				if res.SuperHops > res.Hops {
+					t.Fatalf("SuperHops %d > Hops %d", res.SuperHops, res.Hops)
+				}
+				if regions == 1 && res.SuperHops > 1 {
+					t.Fatalf("single region: %d super hops, want <= 1", res.SuperHops)
 				}
 			}
 		}
@@ -287,7 +269,7 @@ func TestSuperPeerLookupMatchesFlatOwner(t *testing.T) {
 // TestSuperPeerPromotionAfterFailure: when a region's super-peer dies,
 // the next lowest-addressed member of the domain takes over.
 func TestSuperPeerPromotionAfterFailure(t *testing.T) {
-	m := NewMeshCompact(FreeWire{})
+	m := NewMesh(FreeWire{})
 	m.EnableSuperPeers(2)
 	for i := 0; i < 16; i++ {
 		if _, err := m.Join(fmt.Sprintf("promo-%d:9000", i)); err != nil {

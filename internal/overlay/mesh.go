@@ -32,15 +32,15 @@ var (
 	ErrEmptyMesh   = errors.New("overlay: mesh has no nodes")
 )
 
-// DepartureHandler is invoked on every surviving node when a peer leaves,
-// after membership has been updated. The key-value store uses it to
-// redistribute the departed node's keys ("a departing node's keys are
-// always redistributed among the available set of nodes", §III-A).
+// DepartureHandler is invoked once per departure, after membership has
+// been updated. The key-value store uses it to redistribute the departed
+// node's keys ("a departing node's keys are always redistributed among
+// the available set of nodes", §III-A).
 type DepartureHandler func(departed Member)
 
-// JoinHandler is invoked on every pre-existing node when a peer joins,
-// after membership has been updated; the key-value store uses it to hand
-// over keys the newcomer now owns.
+// JoinHandler is invoked once per join, after membership has been
+// updated; the key-value store uses it to hand over keys the newcomer
+// now owns.
 type JoinHandler func(joined Member)
 
 // Mesh is an in-process home-cloud overlay: a set of routers connected by
@@ -48,19 +48,16 @@ type JoinHandler func(joined Member)
 // nodes join and leave at runtime, neighbours are notified, and routing
 // proceeds hop-by-hop with per-hop cost.
 //
-// A compact mesh (NewMeshCompact) interns the membership once in a
-// shared Arena instead of replicating it into every router, and its
-// joins/leaves cost O(log N) instead of O(N); higher layers then
-// register OnJoinAll/OnDepartureAll handlers once instead of one handler
-// per node.
+// The membership lives once, in a shared Arena that every router reads,
+// so a join or leave costs O(log N) arena work instead of an update at
+// every router, and higher layers register one mesh-wide handler pair
+// (OnJoinAll/OnDepartureAll) instead of one handler per node.
 type Mesh struct {
 	wire  Wire
-	arena *Arena // non-nil: compact membership mode
+	arena *Arena
 
 	mu             sync.RWMutex
 	nodes          map[ids.ID]*Router
-	onJoin         map[ids.ID]JoinHandler
-	onDeparture    map[ids.ID]DepartureHandler
 	onJoinAll      []JoinHandler
 	onDepartureAll []DepartureHandler
 
@@ -72,43 +69,18 @@ type Mesh struct {
 	regionTrees []*rbtree.Tree[Member] // guarded by mu
 }
 
-// sortRouters orders routers by ID so membership iteration (and thus
-// handler execution and wire-message order) is deterministic.
-func sortRouters(rs []*Router) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Self().ID < rs[j].Self().ID })
-}
-
-// NewMesh returns an empty flat mesh over the given wire.
+// NewMesh returns an empty mesh over the given wire.
 func NewMesh(wire Wire) *Mesh {
 	return &Mesh{
-		wire:        wire,
-		nodes:       make(map[ids.ID]*Router),
-		onJoin:      make(map[ids.ID]JoinHandler),
-		onDeparture: make(map[ids.ID]DepartureHandler),
+		wire:  wire,
+		arena: NewArena(),
+		nodes: make(map[ids.ID]*Router),
 	}
 }
-
-// NewMeshCompact returns an empty mesh whose membership is interned in a
-// shared arena. Routing answers are bit-identical to a flat mesh; only
-// resident memory and join/leave cost change.
-func NewMeshCompact(wire Wire) *Mesh {
-	m := NewMesh(wire)
-	m.arena = NewArena()
-	return m
-}
-
-// Compact reports whether the mesh interns membership in a shared arena.
-func (m *Mesh) Compact() bool { return m.arena != nil }
 
 // ArenaBytes estimates the resident bytes of the shared membership
-// arena; it is zero for a flat mesh (whose cost lives inside each
-// router instead).
-func (m *Mesh) ArenaBytes() int64 {
-	if m.arena == nil {
-		return 0
-	}
-	return m.arena.Bytes()
-}
+// arena.
+func (m *Mesh) ArenaBytes() int64 { return m.arena.Bytes() }
 
 // Join adds a node with the given address to the overlay and returns its
 // router. Every node learns of the newcomer (the membership view is
@@ -122,37 +94,15 @@ func (m *Mesh) Join(addr string) (*Router, error) {
 		return nil, fmt.Errorf("%w: %s (addr %q)", ErrDuplicateID, id, addr)
 	}
 	self := Member{ID: id, Addr: addr}
-	var r *Router
-	var existing []*Router
-	if m.arena != nil {
-		r = newArenaRouter(self, m.arena)
-	} else {
-		r = NewRouter(self)
-		existing = make([]*Router, 0, len(m.nodes))
-		for _, n := range m.nodes {
-			existing = append(existing, n)
-		}
-		sortRouters(existing)
-	}
+	r := newRouter(self, m.arena)
 	m.nodes[id] = r
-	joinHandlers := make(map[ids.ID]JoinHandler, len(m.onJoin))
-	for k, v := range m.onJoin {
-		joinHandlers[k] = v
-	}
 	joinAll := m.onJoinAll
 	m.regionInsertLocked(self)
 	m.mu.Unlock()
 
-	if m.arena != nil {
-		// One interned record replaces the flat mode's N AddMember calls;
-		// every router sees the newcomer through the shared tree.
-		m.arena.Insert(self)
-	} else {
-		// The newcomer learns the membership from its bootstrap exchange.
-		for _, n := range existing {
-			r.AddMember(n.Self())
-		}
-	}
+	// One interned record: every router sees the newcomer through the
+	// shared tree.
+	m.arena.Insert(self)
 	// "Whenever a node enters ... it sends a message to its right and
 	// left nodes in the logical tree structure"; the remaining members
 	// learn via the membership update that follows.
@@ -162,44 +112,10 @@ func (m *Mesh) Join(addr string) (*Router, error) {
 			m.wire.Send(id, right.ID)
 		}
 	}
-	for _, n := range existing {
-		n.AddMember(self)
+	for _, h := range joinAll {
+		h(self)
 	}
-	m.runJoinHandlers(joinHandlers, joinAll, self)
 	return r, nil
-}
-
-// runJoinHandlers fires per-node handlers in node-ID order, then global
-// handlers in registration order.
-func (m *Mesh) runJoinHandlers(perNode map[ids.ID]JoinHandler, all []JoinHandler, joined Member) {
-	keys := make([]ids.ID, 0, len(perNode))
-	for k := range perNode {
-		if k != joined.ID {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		perNode[k](joined)
-	}
-	for _, h := range all {
-		h(joined)
-	}
-}
-
-// runDepartureHandlers mirrors runJoinHandlers for leave/fail.
-func (m *Mesh) runDepartureHandlers(perNode map[ids.ID]DepartureHandler, all []DepartureHandler, departed Member) {
-	keys := make([]ids.ID, 0, len(perNode))
-	for k := range perNode {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		perNode[k](departed)
-	}
-	for _, h := range all {
-		h(departed)
-	}
 }
 
 // remove implements Leave (farewell = true) and Fail (farewell = false).
@@ -211,20 +127,6 @@ func (m *Mesh) remove(id ids.ID, farewell bool) error {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
 	}
 	delete(m.nodes, id)
-	delete(m.onJoin, id)
-	delete(m.onDeparture, id)
-	var survivors []*Router
-	if m.arena == nil {
-		survivors = make([]*Router, 0, len(m.nodes))
-		for _, n := range m.nodes {
-			survivors = append(survivors, n)
-		}
-		sortRouters(survivors)
-	}
-	handlers := make(map[ids.ID]DepartureHandler, len(m.onDeparture))
-	for k, v := range m.onDeparture {
-		handlers[k] = v
-	}
 	departureAll := m.onDepartureAll
 	departed := r.Self()
 	m.regionRemoveLocked(departed)
@@ -240,14 +142,10 @@ func (m *Mesh) remove(id ids.ID, farewell bool) error {
 			}
 		}
 	}
-	if m.arena != nil {
-		m.arena.Remove(id)
-	} else {
-		for _, n := range survivors {
-			n.RemoveMember(id)
-		}
+	m.arena.Remove(id)
+	for _, h := range departureAll {
+		h(departed)
 	}
-	m.runDepartureHandlers(handlers, departureAll, departed)
 	return nil
 }
 
@@ -261,24 +159,9 @@ func (m *Mesh) Leave(id ids.ID) error { return m.remove(id, true) }
 // replicated state rather than a handover from the failed node.
 func (m *Mesh) Fail(id ids.ID) error { return m.remove(id, false) }
 
-// OnJoin registers a handler run at node whenever another node joins.
-func (m *Mesh) OnJoin(node ids.ID, h JoinHandler) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.onJoin[node] = h
-}
-
-// OnDeparture registers a handler run at node whenever another node
-// leaves or fails.
-func (m *Mesh) OnDeparture(node ids.ID, h DepartureHandler) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.onDeparture[node] = h
-}
-
 // OnJoinAll registers one handler run once per join, regardless of mesh
-// size. Compact deployments use it instead of per-node handlers so a
-// join costs O(1) handler work rather than O(N).
+// size, so a join costs O(1) handler work rather than O(N). Handlers run
+// in registration order.
 func (m *Mesh) OnJoinAll(h JoinHandler) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -485,9 +368,9 @@ func (m *Mesh) Route(from ids.ID, key ids.ID) (RouteResult, error) {
 		nr, live := m.nodes[next.ID]
 		m.mu.RUnlock()
 		if !live {
-			// Stale routing entry pointing at a dead node: drop it and
-			// retry from the same position.
-			cur.RemoveMember(next.ID)
+			// Stale routing entry pointing at a node whose departure is
+			// still in flight: drop it and retry from the same position.
+			m.arena.Remove(next.ID)
 			res.Hops--
 			if super {
 				res.SuperHops--

@@ -205,54 +205,44 @@ func TestLeaveUnknownNode(t *testing.T) {
 func TestDepartureHandlersFire(t *testing.T) {
 	m, nodeIDs := buildMesh(t, 4)
 	var mu sync.Mutex
-	fired := map[ids.ID]ids.ID{}
-	for _, id := range nodeIDs[1:] {
-		id := id
-		m.OnDeparture(id, func(departed Member) {
-			mu.Lock()
-			fired[id] = departed.ID
-			mu.Unlock()
-		})
-	}
+	var fired []ids.ID
+	m.OnDepartureAll(func(departed Member) {
+		mu.Lock()
+		fired = append(fired, departed.ID)
+		mu.Unlock()
+	})
 	if err := m.Leave(nodeIDs[0]); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(fired) != 3 {
-		t.Fatalf("%d departure handlers fired, want 3", len(fired))
+	if len(fired) != 1 || fired[0] != nodeIDs[0] {
+		t.Fatalf("departure handler saw %v, want [%s]", fired, nodeIDs[0])
 	}
-	for node, dep := range fired {
-		if dep != nodeIDs[0] {
-			t.Fatalf("node %s saw departure of %s, want %s", node, dep, nodeIDs[0])
-		}
+	// The handler runs after membership is updated.
+	r, _ := m.Router(nodeIDs[1])
+	if r.Len() != 3 {
+		t.Fatalf("survivor sees %d members after the departure, want 3", r.Len())
 	}
 }
 
 func TestJoinHandlersFire(t *testing.T) {
-	m, nodeIDs := buildMesh(t, 3)
+	m, _ := buildMesh(t, 3)
 	var mu sync.Mutex
 	var seen []ids.ID
-	for _, id := range nodeIDs {
-		m.OnJoin(id, func(joined Member) {
-			mu.Lock()
-			seen = append(seen, joined.ID)
-			mu.Unlock()
-		})
-	}
+	m.OnJoinAll(func(joined Member) {
+		mu.Lock()
+		seen = append(seen, joined.ID)
+		mu.Unlock()
+	})
 	r, err := m.Join("latecomer:1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(seen) != 3 {
-		t.Fatalf("%d join handlers fired, want 3", len(seen))
-	}
-	for _, got := range seen {
-		if got != r.Self().ID {
-			t.Fatalf("handler saw %s, want %s", got, r.Self().ID)
-		}
+	if len(seen) != 1 || seen[0] != r.Self().ID {
+		t.Fatalf("join handler saw %v, want [%s]", seen, r.Self().ID)
 	}
 }
 
@@ -268,7 +258,7 @@ func TestFailRunsHandlersWithoutFarewell(t *testing.T) {
 		nodeIDs = append(nodeIDs, r.Self().ID)
 	}
 	fired := 0
-	m.OnDeparture(nodeIDs[1], func(Member) { fired++ })
+	m.OnDepartureAll(func(Member) { fired++ })
 	before := w.count()
 	if err := m.Fail(nodeIDs[0]); err != nil {
 		t.Fatal(err)

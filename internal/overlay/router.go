@@ -5,23 +5,23 @@
 // Pastry" — routing proceeds hex-digit by hex-digit toward the node whose
 // 40-bit identifier is numerically closest to the key.
 //
-// Each node keeps (i) a prefix routing table and (ii) the "logical tree
+// Each node has (i) a prefix routing table and (ii) the "logical tree
 // view of other nodes in the overlay, implemented as a red-black tree"
 // (paper Fig 2). At home-cloud scale (a handful of devices) the tree holds
 // the full membership; routing still steps hop-by-hop through the prefix
 // table so lookup costs behave like the real protocol's.
 //
-// Routers come in two storage modes. A flat router (NewRouter) owns a
-// private membership tree and a materialised prefix table — the paper
-// shape. A compact router (NewMeshCompact) holds only its identity and a
-// pointer to the mesh's shared Arena, recomputing owner/slot/replica
-// answers from the shared tree on demand; the answers are bit-identical
-// (see arena.go) while per-router memory drops from O(N) to O(1).
+// The membership view is complete and identical at every node, so the
+// mesh interns it once, in a shared Arena, instead of replicating a tree
+// and a materialised prefix table into every router. A router holds only
+// its identity and a pointer to the arena, and recomputes owner, prefix
+// slot and replica answers from the shared tree on demand; the answers
+// are the ones per-router copies would hold (see arena.go), while a
+// router costs O(1) resident bytes instead of O(N).
 package overlay
 
 import (
 	"fmt"
-	"sync"
 
 	"cloud4home/internal/ids"
 	"cloud4home/internal/rbtree"
@@ -35,183 +35,51 @@ type Member struct {
 	Addr string
 }
 
-// tableSlot is one prefix-table entry, held by value so installing a
-// route never boxes a Member onto the heap.
-type tableSlot struct {
-	m  Member
-	ok bool
-}
-
 // Router is the per-node routing state machine. It is pure: it neither
 // sends messages nor sleeps; Mesh (or a real transport) drives it.
 type Router struct {
 	self  Member
-	arena *Arena // compact mode: shared membership; flat is nil
-
-	mu   sync.RWMutex
-	flat *flatState // flat mode: private membership copy; arena is nil
+	arena *Arena // shared membership, owned by the mesh
 }
 
-// flatState is the paper-shape per-router storage: a private red-black
-// copy of the full membership plus a materialised prefix table. Compact
-// routers omit it entirely, so a router costs O(1) resident bytes.
-type flatState struct {
-	members *rbtree.Tree[Member]            // logical tree view incl. self
-	table   [ids.Digits][ids.Base]tableSlot // prefix routing table
-}
-
-// NewRouter returns a flat router for the given node, initially alone.
-func NewRouter(self Member) *Router {
-	r := &Router{self: self, flat: &flatState{members: rbtree.New[Member]()}}
-	r.flat.members.Insert(self.ID, self)
-	return r
-}
-
-// newArenaRouter returns a compact router backed by the shared arena.
-// The caller (Mesh.Join) interns self into the arena.
-func newArenaRouter(self Member, a *Arena) *Router {
+// newRouter returns a router backed by the shared arena. The caller
+// (Mesh.Join) interns self into the arena.
+func newRouter(self Member, a *Arena) *Router {
 	return &Router{self: self, arena: a}
 }
 
 // Self returns this node's membership record.
 func (r *Router) Self() Member { return r.self }
 
-// AddMember records a peer and refreshes the routing table.
-func (r *Router) AddMember(m Member) {
-	if m.ID == r.self.ID {
-		return
-	}
-	if r.arena != nil {
-		r.arena.Insert(m)
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.flat.members.Insert(m.ID, m)
-	r.installRoute(m)
-}
-
-// RemoveMember forgets a peer (it left or failed) and refills the one
-// routing slot it can have occupied. A member with common-prefix length
-// l and digit d relative to self is only ever installed in slot (l, d),
-// so departure invalidates at most that slot; it is refilled with the
-// Closer-minimum of the slot's ID range in O(log N) instead of the old
-// full-table rebuild over every member.
-func (r *Router) RemoveMember(id ids.ID) {
-	if r.arena != nil {
-		r.arena.Remove(id)
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.flat.members.Delete(id) {
-		return
-	}
-	l := ids.CommonPrefixLen(r.self.ID, id)
-	if l == ids.Digits {
-		return // removed self; no table slot involved
-	}
-	d := id.Digit(l)
-	if !r.flat.table[l][d].ok || r.flat.table[l][d].m.ID != id {
-		return
-	}
-	lo, hi := classRange(r.self.ID, l, d)
-	m, ok := closestInRange(r.flat.members, lo, hi, r.self.ID)
-	r.flat.table[l][d] = tableSlot{m: m, ok: ok}
-}
-
-// installRoute places m into the prefix routing table. Caller holds mu.
-//
-// c4h:hotpath
-func (r *Router) installRoute(m Member) {
-	l := ids.CommonPrefixLen(r.self.ID, m.ID)
-	if l == ids.Digits {
-		return // identical ID; cannot happen for distinct nodes
-	}
-	d := m.ID.Digit(l)
-	cur := r.flat.table[l][d]
-	// Prefer the entry numerically closest to our own ID in that slot,
-	// mirroring Pastry's proximity heuristic deterministically.
-	if !cur.ok || ids.Closer(r.self.ID, m.ID, cur.m.ID) {
-		r.flat.table[l][d] = tableSlot{m: m, ok: true}
-	}
-}
-
-// slot returns prefix-table entry (l, d). Flat routers read the
-// materialised table; compact routers recompute the slot's
-// Closer-minimum from the shared tree, which equals the flat table's
-// maintained invariant.
+// slot returns prefix-table entry (l, d): the Closer-minimum, relative
+// to self, of the members in the slot's ID range.
 //
 // c4h:hotpath
 func (r *Router) slot(l, d int) (Member, bool) {
-	if r.arena != nil {
-		lo, hi := classRange(r.self.ID, l, d)
-		r.arena.mu.RLock()
-		defer r.arena.mu.RUnlock()
-		return closestInRange(r.arena.members, lo, hi, r.self.ID)
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s := r.flat.table[l][d]
-	return s.m, s.ok
+	lo, hi := classRange(r.self.ID, l, d)
+	r.arena.mu.RLock()
+	defer r.arena.mu.RUnlock()
+	return closestInRange(r.arena.members, lo, hi, r.self.ID)
 }
 
 // Members returns a snapshot of the membership (including self) in ring
 // order.
 func (r *Router) Members() []Member {
-	return r.AppendMembers(make([]Member, 0, r.Len()))
-}
-
-// AppendMembers appends the membership snapshot to dst and returns it,
-// letting hot callers reuse one buffer across snapshots instead of
-// allocating per call.
-func (r *Router) AppendMembers(dst []Member) []Member {
-	if r.arena != nil {
-		r.arena.mu.RLock()
-		defer r.arena.mu.RUnlock()
-		return appendMembers(dst, r.arena.members)
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return appendMembers(dst, r.flat.members)
+	r.arena.mu.RLock()
+	defer r.arena.mu.RUnlock()
+	return appendMembers(make([]Member, 0, r.arena.members.Len()), r.arena.members)
 }
 
 // Len returns the number of known members including self.
-func (r *Router) Len() int {
-	if r.arena != nil {
-		return r.arena.Len()
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.flat.members.Len()
-}
-
-// Knows reports whether the router has a record for id.
-func (r *Router) Knows(id ids.ID) bool {
-	if r.arena != nil {
-		r.arena.mu.RLock()
-		defer r.arena.mu.RUnlock()
-		_, ok := r.arena.members.Get(id)
-		return ok
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.flat.members.Get(id)
-	return ok
-}
+func (r *Router) Len() int { return r.arena.Len() }
 
 // Neighbors returns this node's left and right neighbours in the logical
 // tree: the nodes notified on join and departure (§III-A). With fewer
 // than two peers, both neighbours may be the same node or absent.
 func (r *Router) Neighbors() (left, right Member, ok bool) {
-	if r.arena != nil {
-		r.arena.mu.RLock()
-		defer r.arena.mu.RUnlock()
-		return treeNeighbors(r.arena.members, r.self.ID)
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return treeNeighbors(r.flat.members, r.self.ID)
+	r.arena.mu.RLock()
+	defer r.arena.mu.RUnlock()
+	return treeNeighbors(r.arena.members, r.self.ID)
 }
 
 func treeNeighbors(t *rbtree.Tree[Member], self ids.ID) (left, right Member, ok bool) {
@@ -229,17 +97,9 @@ func treeNeighbors(t *rbtree.Tree[Member], self ids.ID) (left, right Member, ok 
 //
 // c4h:hotpath
 func (r *Router) Owner(key ids.ID) Member {
-	if r.arena != nil {
-		r.arena.mu.RLock()
-		defer r.arena.mu.RUnlock()
-		if m, ok := closestToKey(r.arena.members, key); ok {
-			return m
-		}
-		return r.self
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if m, ok := closestToKey(r.flat.members, key); ok {
+	r.arena.mu.RLock()
+	defer r.arena.mu.RUnlock()
+	if m, ok := closestToKey(r.arena.members, key); ok {
 		return m
 	}
 	return r.self
@@ -277,20 +137,12 @@ func (r *Router) NextHop(key ids.ID) (Member, bool) {
 // order (the owner first). Used by the key-value store's replication and
 // by departure-time key redistribution.
 func (r *Router) ReplicaSet(key ids.ID, n int) []Member {
-	if r.arena != nil {
-		r.arena.mu.RLock()
-		defer r.arena.mu.RUnlock()
-		if n > r.arena.members.Len() {
-			n = r.arena.members.Len()
-		}
-		return appendReplicaSet(make([]Member, 0, n), r.arena.members, key, n)
+	r.arena.mu.RLock()
+	defer r.arena.mu.RUnlock()
+	if n > r.arena.members.Len() {
+		n = r.arena.members.Len()
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if n > r.flat.members.Len() {
-		n = r.flat.members.Len()
-	}
-	return appendReplicaSet(make([]Member, 0, n), r.flat.members, key, n)
+	return appendReplicaSet(make([]Member, 0, n), r.arena.members, key, n)
 }
 
 // String renders a short diagnostic form.

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from the current engine")
@@ -41,10 +40,8 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // TestWakeOrderMatchesGolden replays wakeWorkload and requires every
-// wake instant to equal the schedule recorded in testdata — the wake
-// order the heap engine produced when it still woke sleepers through a
-// condition-variable broadcast, and that every engine since has had to
-// reproduce bit for bit.
+// wake instant to equal the schedule recorded in testdata from the heap
+// engine with broadcast wakeups.
 func TestWakeOrderMatchesGolden(t *testing.T) {
 	var b strings.Builder
 	for _, at := range wakeWorkload(NewVirtual(epoch)) {
@@ -68,11 +65,4 @@ func TestRandomWakeScheduleMatchesGolden(t *testing.T) {
 		fmt.Fprintf(&b, "seed=%d wakes=%d sha256=%x\n", seed, len(sched), h.Sum(nil))
 	}
 	checkGolden(t, "random_wake.golden", b.String())
-}
-
-// wakeWorkload runs a nontrivial interleaving — seven workers sleeping
-// multiples of 70 ms against a 5 s driver — and returns the trace of
-// wake instants.
-func wakeWorkload(v *Virtual) []time.Time {
-	return shardedWorkload(v)
 }

@@ -2,7 +2,9 @@ package vclock
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -147,10 +149,10 @@ func TestRealClockMonotone(t *testing.T) {
 	c.Sleep(-time.Hour) // must not block
 }
 
-// shardedWorkload runs a nontrivial interleaving on the given clock and
-// returns a trace of wake instants, the one artifact every engine must
-// reproduce exactly.
-func shardedWorkload(v *Virtual) []time.Time {
+// wakeWorkload runs a nontrivial interleaving — seven workers sleeping
+// multiples of 70 ms against a 5 s driver — and returns the trace of
+// wake instants.
+func wakeWorkload(v *Virtual) []time.Time {
 	var mu sync.Mutex
 	var trace []time.Time
 	v.Run(func() {
@@ -172,42 +174,6 @@ func shardedWorkload(v *Virtual) []time.Time {
 		v.Block(wg.Wait)
 	})
 	return trace
-}
-
-func TestVirtualShardedMatchesDefault(t *testing.T) {
-	want := shardedWorkload(NewVirtual(epoch))
-	for _, shards := range []int{1, 2, 4, 8} {
-		got := shardedWorkload(NewVirtualSharded(epoch, shards))
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d wakes, want %d", shards, len(got), len(want))
-		}
-		for i := range want {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("shards=%d wake %d at %v, default engine at %v", shards, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestVirtualShardedEqualDeadlinesAllWake(t *testing.T) {
-	v := NewVirtualSharded(epoch, 4)
-	var n atomic.Int32
-	v.Run(func() {
-		var wg sync.WaitGroup
-		for i := 0; i < 8; i++ {
-			wg.Add(1)
-			v.Go(func() {
-				defer wg.Done()
-				v.Sleep(time.Second)
-				n.Add(1)
-			})
-		}
-		v.Sleep(2 * time.Second)
-		v.Block(wg.Wait)
-	})
-	if n.Load() != 8 {
-		t.Fatalf("woke %d of 8 sleepers", n.Load())
-	}
 }
 
 func eventWorkload(t *testing.T, v *Virtual) []time.Duration {
@@ -239,68 +205,18 @@ func eventWorkload(t *testing.T, v *Virtual) []time.Duration {
 // all resume at the fire instant t=1s, so each is charged exactly the
 // virtual time it spent parked — the contract fetch coalescing relies on.
 func TestEventReleasesWaitersAtFireInstant(t *testing.T) {
-	for name, v := range map[string]*Virtual{
-		"default": NewVirtual(epoch),
-		"sharded": NewVirtualSharded(epoch, 4),
-	} {
-		waits := eventWorkload(t, v)
-		for i, w := range waits {
-			want := time.Second - time.Duration(i+1)*100*time.Millisecond
-			if w != want {
-				t.Fatalf("%s engine: waiter %d parked %v, want %v", name, i, w, want)
-			}
-		}
-	}
-}
-
-func TestVirtualCalendarMatchesDefault(t *testing.T) {
-	want := shardedWorkload(NewVirtual(epoch))
-	got := shardedWorkload(NewVirtualCalendar(epoch))
-	if len(got) != len(want) {
-		t.Fatalf("calendar: %d wakes, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("calendar wake %d at %v, default engine at %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestVirtualCalendarEqualDeadlinesAllWake(t *testing.T) {
-	v := NewVirtualCalendar(epoch)
-	var n atomic.Int32
-	v.Run(func() {
-		var wg sync.WaitGroup
-		for i := 0; i < 8; i++ {
-			wg.Add(1)
-			v.Go(func() {
-				defer wg.Done()
-				v.Sleep(time.Second)
-				n.Add(1)
-			})
-		}
-		v.Sleep(2 * time.Second)
-		v.Block(wg.Wait)
-	})
-	if n.Load() != 8 {
-		t.Fatalf("woke %d of 8 sleepers", n.Load())
-	}
-}
-
-func TestEventReleasesWaitersAtFireInstantCalendar(t *testing.T) {
-	waits := eventWorkload(t, NewVirtualCalendar(epoch))
+	waits := eventWorkload(t, NewVirtual(epoch))
 	for i, w := range waits {
 		want := time.Second - time.Duration(i+1)*100*time.Millisecond
 		if w != want {
-			t.Fatalf("calendar engine: waiter %d parked %v, want %v", i, w, want)
+			t.Fatalf("waiter %d parked %v, want %v", i, w, want)
 		}
 	}
 }
 
 // randomWakeWorkload drives W workers through seeded pseudo-random sleep
-// sequences spanning six orders of magnitude (µs to minutes) — enough
-// queued events to force several calendar resizes and sparse-lap
-// fallbacks — and returns the exact wake schedule.
+// sequences spanning µs to tens of ms, with many equal deadlines, and
+// returns the exact wake schedule.
 func randomWakeWorkload(v *Virtual, seed int64, workers, rounds int) []time.Duration {
 	rng := rand.New(rand.NewSource(seed))
 	durs := make([][]time.Duration, workers)
@@ -334,70 +250,55 @@ func randomWakeWorkload(v *Virtual, seed int64, workers, rounds int) []time.Dura
 	return sched
 }
 
-// TestVirtualCalendarPropertyByteIdentical: across random workloads, the
-// calendar engine's complete wake schedule equals the heap engine's,
-// element for element — the wheel ordering invariant.
-func TestVirtualCalendarPropertyByteIdentical(t *testing.T) {
-	workers, rounds := 32, 40
-	if testing.Short() {
-		workers = 12
-	}
-	for seed := int64(1); seed <= 5; seed++ {
-		want := randomWakeWorkload(NewVirtual(epoch), seed, workers, rounds)
-		got := randomWakeWorkload(NewVirtualCalendar(epoch), seed, workers, rounds)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d wakes, want %d", seed, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: wake %d at +%v, heap engine at +%v", seed, i, got[i], want[i])
+// BenchmarkSleep measures one Sleep — heap push, advance, heap pop and
+// the wakeup handoff — with the given number of pending sleepers queued.
+// The benchmark goroutine and one partner worker alternate, so every
+// advance pops the other worker and hands it the run token through its
+// rendezvous; one op is a round trip (two Sleeps, two handoffs). The
+// rest of the queue is sleepers parked beyond the end of the run. The
+// engine only touches the sleeper it pops, so a parked sleeper costs it
+// one heap entry; those entries are queued directly instead of behind
+// 100 000 parked goroutines.
+//
+// The partner is spawned and warmed up before the timer starts, and the
+// run holds one P: the clock runs one worker at a time anyway, and on
+// one P the sleeper pool hands each worker back its own record, so
+// allocs/op is stable even at -benchtime=1x.
+func BenchmarkSleep(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, n := range []int{10, 1_000, 100_000} {
+		b.Run(fmt.Sprintf("sleepers=%d", n), func(b *testing.B) {
+			v := NewVirtual(epoch)
+			far := epoch.Add(1000 * time.Hour)
+			v.mu.Lock()
+			for i := 0; i < n-2; i++ {
+				s := getSleeper()
+				s.deadline, s.seq = far, v.seq
+				v.seq++
+				heap.Push(&v.sleeper, s)
 			}
-		}
-	}
-}
-
-// TestCalendarQueueOrderAgainstHeap pounds the raw calendar queue with
-// interleaved inserts and pops (including far-future outliers that force
-// the sparse-lap fallback and same-instant duplicates that exercise seq
-// ordering) and checks every pop matches a reference heap.
-func TestCalendarQueueOrderAgainstHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	q := newCalendarQueue(epoch)
-	var ref sleeperHeap
-	var seq uint64
-	now := time.Duration(0)
-	for step := 0; step < 20000; step++ {
-		if q.size == 0 || rng.Intn(3) != 0 {
-			var d time.Duration
-			switch rng.Intn(10) {
-			case 0:
-				d = time.Duration(rng.Intn(1000)) * time.Hour // sparse outlier
-			case 1, 2:
-				d = 0 // same-instant (Event.Fire shape)
-			default:
-				d = time.Duration(rng.Intn(5_000_000)) * time.Nanosecond
+			v.mu.Unlock()
+			// The partner trails this goroutine by 1 µs. A few untimed
+			// warm-up round trips fill the runtime's per-P caches the
+			// handoff draws on.
+			const warm = 8
+			v.Add(1)
+			v.Go(func() {
+				v.Sleep(time.Microsecond)
+				for i := 1; i < warm+b.N; i++ {
+					v.Sleep(2 * time.Microsecond)
+				}
+			})
+			for i := 0; i < warm; i++ {
+				v.Sleep(2 * time.Microsecond)
 			}
-			s := &sleeper{deadline: epoch.Add(now + d), seq: seq}
-			seq++
-			q.insert(s)
-			r := &sleeper{deadline: s.deadline, seq: s.seq}
-			heap.Push(&ref, r)
-			continue
-		}
-		got := q.pop()
-		want := heap.Pop(&ref).(*sleeper)
-		if !got.deadline.Equal(want.deadline) || got.seq != want.seq {
-			t.Fatalf("step %d: popped (%v, %d), heap says (%v, %d)",
-				step, got.deadline, got.seq, want.deadline, want.seq)
-		}
-		now = got.deadline.Sub(epoch)
-	}
-	for q.size > 0 {
-		got := q.pop()
-		want := heap.Pop(&ref).(*sleeper)
-		if !got.deadline.Equal(want.deadline) || got.seq != want.seq {
-			t.Fatalf("drain: popped (%v, %d), heap says (%v, %d)",
-				got.deadline, got.seq, want.deadline, want.seq)
-		}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v.Sleep(2 * time.Microsecond)
+			}
+			b.StopTimer()
+			v.Done()
+		})
 	}
 }
