@@ -218,15 +218,7 @@ func TestEventReleasesWaitersAtFireInstant(t *testing.T) {
 // sequences spanning µs to tens of ms, with many equal deadlines, and
 // returns the exact wake schedule.
 func randomWakeWorkload(v *Virtual, seed int64, workers, rounds int) []time.Duration {
-	rng := rand.New(rand.NewSource(seed))
-	durs := make([][]time.Duration, workers)
-	for w := range durs {
-		durs[w] = make([]time.Duration, rounds)
-		for j := range durs[w] {
-			exp := time.Duration(1) << uint(rng.Intn(26)) // 1ns .. ~67ms steps
-			durs[w][j] = time.Microsecond + exp
-		}
-	}
+	durs := randomSleeps(seed, workers, rounds)
 	var mu sync.Mutex
 	sched := make([]time.Duration, 0, workers*rounds)
 	start := v.Now()
@@ -248,6 +240,21 @@ func randomWakeWorkload(v *Virtual, seed int64, workers, rounds int) []time.Dura
 		v.Block(wg.Wait)
 	})
 	return sched
+}
+
+// randomSleeps returns the seeded per-worker sleep sequences
+// randomWakeWorkload replays.
+func randomSleeps(seed int64, workers, rounds int) [][]time.Duration {
+	rng := rand.New(rand.NewSource(seed))
+	durs := make([][]time.Duration, workers)
+	for w := range durs {
+		durs[w] = make([]time.Duration, rounds)
+		for j := range durs[w] {
+			exp := time.Duration(1) << uint(rng.Intn(26)) // 1ns .. ~67ms steps
+			durs[w][j] = time.Microsecond + exp
+		}
+	}
+	return durs
 }
 
 // BenchmarkSleep measures one Sleep — heap push, advance, heap pop and
